@@ -3,10 +3,16 @@ empirical estimators that cross-validate the quadrature machinery.
 
 Every trial samples fixed node positions (stationary terminals), then evolves
 each edge independently as a two-state Markov chain at its pair distance.
-Randomness comes from counter-keyed Philox streams: stream (trial, lane) is
-the block sequence at counter ``[., ., trial, lane]`` under the master-seed
-key, so trials can be generated in any order, in parallel, with bit-identical
-results.  Lane e < 2**62 drives edge e; the position lane sits at 2**62.
+Randomness comes from counter-keyed Philox4x64-10 streams (Salmon et al.,
+SC'11): stream (trial, lane) is the sequence of 64-bit words of the blocks at
+counter ``[k, 0, trial, lane]``, k = 1, 2, ..., under the key
+``[seed, 0]``, each word mapped to the double ``(word >> 11) * 2**-53``.
+Lane e < 2**62 drives edge e; the position lane sits at 2**62 (x coordinates
+from the first n draws, y from the next n).  The blocks come from an in-repo
+numpy kernel, checked in the tests against ``np.random.Philox`` started at
+counter ``[0, 0, trial, lane]``, which emits block k = 1 first.  As every
+stream is addressed by its counter, the simulator generates and steps whole
+batches of trials at once, and any batching gives bit-identical ensembles.
 """
 
 from __future__ import annotations
@@ -21,8 +27,18 @@ from . import channel
 from .channel import ChannelParams
 from .geometry import Domain
 
-_POSITION_LANE = 1 << 62
 _U64 = np.uint64
+_POSITION_LANE = np.array([1 << 62], dtype=_U64)
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+# Philox4x64 multipliers and Weyl key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+# Philox blocks generated per batch of streams: bounds the temporary working
+# set (about a hundred bytes per block) whatever n, t and the trial count, as
+# long as one stream of t draws fits
+_CHUNK_BLOCKS = 8192
 INITIAL_STATES = ("stationary", "all_off", "all_on")
 
 
@@ -56,23 +72,85 @@ class SimConfig:
         return self.n * (self.n - 1) // 2
 
 
-class _KeyedStreams:
-    """Cheap per-(trial, lane) uniform streams from one reused Philox."""
+def _mulhilo(m: int, x: np.ndarray):
+    """High and low 64-bit words of the 128-bit product m * x.
 
-    def __init__(self, seed: int):
-        self._bitgen = np.random.Philox(key=np.array([seed, 0], dtype=_U64))
-        self._state = self._bitgen.state
+    numpy has no 128-bit integers, so the high word is assembled from the
+    four 32 x 32 -> 64-bit partial products of the operands' halves.
+    """
+    m_hi, m_lo = _U64(m >> 32), _U64(m & _MASK32)
+    x_hi, x_lo = x >> _U64(32), x & _U64(_MASK32)
+    hl = m_hi * x_lo
+    lh = m_lo * x_hi
+    # each term is below 2**32, so the sum cannot wrap
+    carry = ((m_lo * x_lo) >> _U64(32)) + (hl & _U64(_MASK32)) + (lh & _U64(_MASK32))
+    hi = m_hi * x_hi + (hl >> _U64(32)) + (lh >> _U64(32)) + (carry >> _U64(32))
+    return hi, _U64(m) * x
 
-    def uniforms(self, trial: int, lane: int, count: int) -> np.ndarray:
-        counter = self._state["state"]["counter"]
-        counter[0] = 0
-        counter[1] = 0
-        counter[2] = trial
-        counter[3] = lane
-        self._state["buffer_pos"] = 4
-        self._bitgen.state = self._state
-        raw = self._bitgen.random_raw(count)
-        return (raw >> _U64(11)) * (2.0 ** -53)
+
+def _philox4x64(counter, seed: int):
+    """Philox4x64-10 blocks of the broadcast counter words under key [seed, 0]."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = seed, 0
+    for _ in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ _U64(k0), lo1, hi0 ^ c3 ^ _U64(k1), lo0
+        k0 = (k0 + _PHILOX_W[0]) & _MASK64
+        k1 = (k1 + _PHILOX_W[1]) & _MASK64
+    return c0, c1, c2, c3
+
+
+def _blocks(count: int) -> int:
+    """Philox blocks (four words each) holding ``count`` draws."""
+    return -(-count // 4)
+
+
+def _stream_uniforms(seed: int, trials: np.ndarray, lanes: np.ndarray,
+                     count: int) -> np.ndarray:
+    """First ``count`` U[0, 1) doubles of every stream (trial, lane).
+
+    Returns shape (len(trials), count, len(lanes)); column [i, :, j] is
+    stream (trials[i], lanes[j]): the words of blocks k = 1, 2, ... at
+    counter [k, 0, trial, lane], each mapped to (word >> 11) * 2**-53.
+    """
+    k = np.arange(1, _blocks(count) + 1, dtype=_U64)
+    words = _philox4x64((k[None, :, None], _U64(0), trials[:, None, None],
+                         lanes[None, None, :]), seed)
+    # by the last round every word has the full (trials, blocks, lanes) shape
+    raw = np.stack(words, axis=2).reshape(len(trials), 4 * len(k), len(lanes))
+    return (raw[:, :count] >> _U64(11)) * (2.0 ** -53)
+
+
+def _chunks(count: int, blocks_each: int):
+    """Consecutive slices of range(count), about _CHUNK_BLOCKS blocks each."""
+    size = max(1, _CHUNK_BLOCKS // blocks_each)
+    for start in range(0, count, size):
+        yield slice(start, min(start + size, count))
+
+
+def _indices(chunk: slice) -> np.ndarray:
+    return np.arange(chunk.start, chunk.stop, dtype=_U64)
+
+
+def _step_chains(seed: int, trials: slice, edges: slice, t_steps: int,
+                 p_on, p01, p10, initial_state: str) -> np.ndarray:
+    """(trials, t_steps, edges) states of the edge chains of these indices.
+
+    Edge e of trial i draws stream (i, e); its first uniform decides a
+    stationary start, the one at step s > 0 whether the chain flips from
+    step s - 1.  The probabilities broadcast against (trials, edges).
+    """
+    u = _stream_uniforms(seed, _indices(trials), _indices(edges), t_steps)
+    st = np.empty(u.shape, dtype=bool)
+    if initial_state == "stationary":
+        st[:, 0] = u[:, 0] < p_on
+    else:
+        st[:, 0] = initial_state == "all_on"
+    for step in range(1, t_steps):
+        flip = np.where(st[:, step - 1], p10, p01)
+        st[:, step] = st[:, step - 1] ^ (u[:, step] < flip)
+    return st
 
 
 def edge_pairs(n: int) -> np.ndarray:
@@ -125,36 +203,29 @@ def simulate(config: SimConfig, initial_state: str = "stationary") -> Trajectory
     if initial_state not in INITIAL_STATES:
         raise SimulationError(f"initial_state must be one of {INITIAL_STATES}")
     n, t, n_edges = config.n, config.t_steps, config.n_edges
-    streams = _KeyedStreams(config.seed)
     iu, ju = np.triu_indices(n, k=1)
 
     positions = np.empty((config.trials, n, 2))
     distances = np.empty((config.trials, n_edges))
     states = np.empty((config.trials, t, n_edges), dtype=bool)
 
-    for trial in range(config.trials):
-        upos = streams.uniforms(trial, _POSITION_LANE, 2 * n)
-        pos = config.domain.points_from_uniforms(upos[:n], upos[n:])
-        dist = np.hypot(pos[iu, 0] - pos[ju, 0], pos[iu, 1] - pos[ju, 1])
+    # batches of whole trials; a trial too large for one batch is stepped in
+    # batches of its edges
+    per_stream = _blocks(t)
+    for trials in _chunks(config.trials, n_edges * per_stream + _blocks(2 * n)):
+        upos = _stream_uniforms(config.seed, _indices(trials), _POSITION_LANE,
+                                2 * n)[:, :, 0]
+        pos = config.domain.points_from_uniforms(
+            upos[:, :n].ravel(), upos[:, n:].ravel()).reshape(-1, n, 2)
+        dist = np.hypot(pos[:, iu, 0] - pos[:, ju, 0], pos[:, iu, 1] - pos[:, ju, 1])
         p_on = channel.connection_probability(dist, config.params)
         p01, p10 = channel.transition_probabilities(dist, config.params)
-
-        u = np.empty((n_edges, t))
-        for e in range(n_edges):
-            u[e] = streams.uniforms(trial, e, t)
-
-        st = np.empty((t, n_edges), dtype=bool)
-        if initial_state == "stationary":
-            st[0] = u[:, 0] < p_on
-        else:
-            st[0] = initial_state == "all_on"
-        for step in range(1, t):
-            flip = np.where(st[step - 1], p10, p01)
-            st[step] = st[step - 1] ^ (u[:, step] < flip)
-
-        positions[trial] = pos
-        distances[trial] = dist
-        states[trial] = st
+        positions[trials] = pos
+        distances[trials] = dist
+        for edges in _chunks(n_edges, per_stream * len(pos)):
+            states[trials, :, edges] = _step_chains(
+                config.seed, trials, edges, t, p_on[:, edges], p01[:, edges],
+                p10[:, edges], initial_state)
 
     return TrajectoryEnsemble(config=config, initial_state=initial_state,
                               positions=positions, distances=distances,
@@ -184,18 +255,13 @@ def pinned_distance_ensemble(domain: Domain, r: float, params: ChannelParams,
 
     config = SimConfig(n=2, t_steps=t_steps, trials=trials, seed=seed,
                        domain=domain, params=params)
-    streams = _KeyedStreams(seed)
     p_on = channel.connection_probability(r, params)
     p01, p10 = channel.transition_probabilities(r, params)
 
     states = np.empty((trials, t_steps, 1), dtype=bool)
-    for trial in range(trials):
-        u = streams.uniforms(trial, 0, t_steps)
-        st = np.empty(t_steps, dtype=bool)
-        st[0] = u[0] < p_on
-        for step in range(1, t_steps):
-            st[step] = st[step - 1] ^ (u[step] < (p10 if st[step - 1] else p01))
-        states[trial, :, 0] = st
+    for chunk in _chunks(trials, _blocks(t_steps)):
+        states[chunk] = _step_chains(seed, chunk, slice(0, 1), t_steps,
+                                     p_on, p01, p10, "stationary")
 
     return TrajectoryEnsemble(
         config=config, initial_state="stationary",
@@ -364,11 +430,11 @@ def stationarity_check(ensemble: TrajectoryEnsemble,
 def export_snapshots(ensemble: TrajectoryEnsemble, fh) -> None:
     """Write the ensemble as 'trial,step,edge_i,edge_j,state' CSV lines."""
     fh.write("trial,step,edge_i,edge_j,state\n")
-    # one prefix per edge, reused across every (trial, step) block
-    edge_text = [f"{i},{j}" for i, j in ensemble.pairs]
-    for trial in range(ensemble.config.trials):
-        for step in range(ensemble.config.t_steps):
-            on = ensemble.states[trial, step]
-            fh.write("".join(
-                f"{trial},{step},{edge_text[e]},{int(on[e])}\n"
-                for e in range(ensemble.config.n_edges)))
+    # each line ends in "i,j,0" or "i,j,1" of its edge; a (trial, step) block
+    # joins the chosen endings behind the prefix its lines share
+    off, on = (np.array([f"{i},{j},{s}\n" for i, j in ensemble.pairs], dtype=object)
+               for s in (0, 1))
+    for trial, states in enumerate(ensemble.states):
+        prefixes = [f"{trial},{step}," for step in range(len(states))]
+        blocks = np.where(states, on, off).tolist()
+        fh.write("".join(p + p.join(b) for p, b in zip(prefixes, blocks)))
