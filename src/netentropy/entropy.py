@@ -11,6 +11,8 @@ Entropies are in bits per time step throughout.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -200,42 +202,106 @@ class BlockEntropyResult:
     conditional_increment: float
 
 
-def block_entropy_profile(domain: Domain, params: ChannelParams, t_max: int,
-                          spec: QuadratureSpec = DEFAULT_SPEC):
-    """Exact H_t and h_t for t = 1..t_max by enumerating all 2**t_max on/off
-    sequences and integrating their joint probabilities over the distance.
+def _compositions(n: int, parts: int) -> int:
+    """Ways to write n as an ordered sum of ``parts`` positive integers."""
+    if parts == 0:
+        return int(n == 0)
+    return math.comb(n - 1, parts - 1) if n >= parts else 0
 
-    Returns (H, h): arrays of length t_max, H[k] = H_{k+1}.
+
+@functools.lru_cache(maxsize=None)
+def _sequence_classes(t: int) -> np.ndarray:
+    """The classes of the 2**t on/off sequences of length t.
+
+    Under a two-state Markov chain a sequence's probability depends only on
+    its first state a and its transition counts, which its number of runs k
+    and of zeros z fix.  Returns a read-only int array with one row
+    (a, k, z, mult, n01, n00, n10, n11) per class; mult =
+    C(z-1, r0-1) * C(o-1, r1-1) counts the ways to cut the z zeros into r0
+    runs and the o = t - z ones into r1 runs.
     """
-    if not 1 <= t_max <= MAX_ORACLE_STEPS:
-        raise ValueError(f"t must be in [1, {MAX_ORACLE_STEPS}], got {t_max}")
-    n_seq = 1 << t_max
-    bits = (np.arange(n_seq)[:, None] >> np.arange(t_max)[None, :]) & 1
+    rows = []
+    for a, k, z in itertools.product((0, 1), range(1, t + 1), range(t + 1)):
+        ones_runs = (k + a) // 2
+        zero_runs = k - ones_runs
+        mult = _compositions(z, zero_runs) * _compositions(t - z, ones_runs)
+        if mult:
+            # the k - 1 flips alternate, starting with the one away from a
+            away, back = k // 2, (k - 1) // 2
+            n01, n10 = (away, back) if a == 0 else (back, away)
+            rows.append((a, k, z, mult, n01, z - zero_runs, n10,
+                         t - z - ones_runs))
+    classes = np.array(rows, dtype=np.int64)
+    classes.flags.writeable = False   # the cache hands it to every caller
+    return classes
 
+
+@functools.lru_cache(maxsize=None)
+def _extensions(t: int):
+    """Indices among the length-t classes of the two one-step extensions of
+    each length t-1 class: (same last bit appended, flipped bit appended).
+
+    A length t-1 sequence ends in a if it has an odd number of runs, else in
+    1 - a.  Appending the same bit keeps its runs and adds a zero if that
+    state is 0; appending the flipped bit adds a run.  A class's sequence
+    probability at t - 1 is the sum of its two extensions' at t.
+    """
+    longer = _sequence_classes(t)
+    index = np.zeros((2, t + 1, t + 1), dtype=np.int64)
+    index[longer[:, 0], longer[:, 1], longer[:, 2]] = np.arange(len(longer))
+    shorter = _sequence_classes(t - 1)
+    a, k, z = shorter[:, :3].T
+    last = np.where(k % 2 == 1, a, 1 - a)
+    same = index[a, k, z + (last == 0)]
+    flipped = index[a, k + 1, z + (last == 1)]
+    same.flags.writeable = flipped.flags.writeable = False
+    return same, flipped
+
+
+def _class_probabilities(domain: Domain, params: ChannelParams, t_max: int,
+                         spec: QuadratureSpec) -> np.ndarray:
+    """Probability of each sequence of each length-t_max class, integrated
+    over the pair distance."""
+    first, _, _, _, n01, n00, n10, n11 = _sequence_classes(t_max).T
+    # integer powers, so that the frozen chain's 0**0 is 1
+    exponents = np.arange(t_max)[:, None]
     density = domain.distance_density()
 
     def integrand(r):
         w = density.pdf(r)
         p = channel.connection_probability(r, params)
         p01, p10 = channel.transition_probabilities(r, params)
-        probs = np.where(bits[:, 0, None] == 1, p[None, :], 1.0 - p[None, :])
-        for u in range(1, t_max):
-            prev = bits[:, u - 1, None]
-            flip = np.where(prev == 0, p01[None, :], p10[None, :])
-            stayed = bits[:, u, None] == prev
-            probs *= np.where(stayed, 1.0 - flip, flip)
-        return probs * w[None, :]
+        start = np.stack([1.0 - p, p])
+        powers = np.stack([p01, 1.0 - p01, p10, 1.0 - p10])[:, None, :] ** exponents
+        return (start[first] * powers[0, n01] * powers[1, n00]
+                * powers[2, n10] * powers[3, n11] * w)
 
-    seq_probs = integrate_piecewise(
+    probs = integrate_piecewise(
         integrand, integration_breakpoints(domain, params), spec)
-    seq_probs = np.maximum(seq_probs, 0.0)
+    return np.maximum(probs, 0.0)
 
+
+def block_entropy_profile(domain: Domain, params: ChannelParams, t_max: int,
+                          spec: QuadratureSpec = DEFAULT_SPEC):
+    """Exact H_t and h_t for t = 1..t_max.
+
+    The 2**t_max on/off sequences fall into classes of equal probability
+    (first state, runs, zeros; see :func:`_sequence_classes`), 134 at
+    t_max = 12.  The quadrature integrates one component per class, the
+    probability of each of its sequences; shorter horizons marginalize the
+    last step class by class.
+
+    Returns (H, h): arrays of length t_max, H[k] = H_{k+1}.
+    """
+    if not 1 <= t_max <= MAX_ORACLE_STEPS:
+        raise ValueError(f"t must be in [1, {MAX_ORACLE_STEPS}], got {t_max}")
+    probs = _class_probabilities(domain, params, t_max, spec)
     H = np.empty(t_max)
-    level = seq_probs
     for t in range(t_max, 0, -1):
-        H[t - 1] = float(np.sum(_xlog2(level)))
-        # marginalize the last step: the high bit of the sequence code
-        level = level.reshape(2, -1).sum(axis=0)
+        H[t - 1] = float(_sequence_classes(t)[:, 3] @ _xlog2(probs))
+        if t > 1:
+            same, flipped = _extensions(t)
+            probs = probs[same] + probs[flipped]
     h = np.diff(H, prepend=0.0)
     return H, h
 

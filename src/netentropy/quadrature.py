@@ -48,7 +48,7 @@ def _gauss_nodes(order: int):
 
 
 # cap on nodes per integrand call so deep refinement of wide vector
-# integrands (the 2**t sequence stack) stays memory-bounded
+# integrands (the oracle's per-class stack) stays memory-bounded
 _MAX_NODES_PER_CALL = 4096
 
 

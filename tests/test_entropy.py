@@ -22,7 +22,7 @@ from netentropy.entropy import (
     conditional_entropy_unconditioned,
     entropy_rate_bounds,
 )
-from netentropy.quadrature import QuadratureError, QuadratureSpec
+from netentropy.quadrature import QuadratureError, QuadratureSpec, integrate_piecewise
 
 SQ = geometry.SQUARE
 
@@ -245,6 +245,115 @@ class TestBlockEntropyOracle:
         b = entropy_rate_bounds(2, SQ, paper_params)
         h8 = block_entropy_oracle(SQ, paper_params, 8).conditional_increment
         assert b.per_edge_lower - 1e-9 <= h8 <= b.per_edge_upper + 1e-9
+
+
+def _enumerated_profile(domain, params, t_max, spec=QuadratureSpec()):
+    """Reference oracle: one integrand component per on/off sequence.
+
+    Returns (H, h, integrand calls).
+    """
+    bits = (np.arange(1 << t_max)[:, None] >> np.arange(t_max)[None, :]) & 1
+    density = domain.distance_density()
+    calls = 0
+
+    def integrand(r):
+        nonlocal calls
+        calls += 1
+        w = density.pdf(r)
+        p = channel.connection_probability(r, params)
+        p01, p10 = channel.transition_probabilities(r, params)
+        probs = np.where(bits[:, 0, None] == 1, p[None, :], 1.0 - p[None, :])
+        for u in range(1, t_max):
+            prev = bits[:, u - 1, None]
+            flip = np.where(prev == 0, p01[None, :], p10[None, :])
+            stayed = bits[:, u, None] == prev
+            probs *= np.where(stayed, 1.0 - flip, flip)
+        return probs * w[None, :]
+
+    level = np.maximum(integrate_piecewise(
+        integrand, entropy.integration_breakpoints(domain, params), spec), 0.0)
+    H = np.empty(t_max)
+    for t in range(t_max, 0, -1):
+        H[t - 1] = binary_entropy_terms(level)
+        # marginalize the last step: the high bit of the sequence code
+        level = level.reshape(2, -1).sum(axis=0)
+    return H, np.diff(H, prepend=0.0), calls
+
+
+def _counted_profile(monkeypatch, domain, params, t_max):
+    """block_entropy_profile and the number of its integrand calls."""
+    calls = 0
+
+    def counted(f, *args, **kwargs):
+        def g(r):
+            nonlocal calls
+            calls += 1
+            return f(r)
+        return integrate_piecewise(g, *args, **kwargs)
+
+    monkeypatch.setattr(entropy, "integrate_piecewise", counted)
+    H, h = block_entropy_profile(domain, params, t_max)
+    monkeypatch.undo()
+    return H, h, calls
+
+
+ENUMERATION_CASES = [
+    (name, ChannelParams(r0, eta, 500.0, 12e6))
+    for name in geometry.DOMAIN_NAMES for eta in (2.0, 4.0) for r0 in (0.3, 1.1)
+] + [
+    ("square", FROZEN),
+    # p01 and p10 both reach the clamp cap inside the square
+    ("square", ChannelParams(0.7, 2.0, 500.0, 1e3)),
+]
+
+
+class TestClassOracle:
+    @pytest.mark.parametrize("name,params", ENUMERATION_CASES, ids=[
+        f"{name}-r0={p.r0}-eta={p.eta}-nu={p.nu:g}-B={p.B:g}"
+        for name, p in ENUMERATION_CASES])
+    def test_matches_sequence_enumeration(self, monkeypatch, name, params):
+        dom = geometry.domain_from_name(name)
+        for t_max in range(1, 13):
+            H_ref, h_ref, calls_ref = _enumerated_profile(dom, params, t_max)
+            H, h, calls = _counted_profile(monkeypatch, dom, params, t_max)
+            # equal calls: the convergence test stopped at the same depth
+            assert calls == calls_ref, t_max
+            np.testing.assert_allclose(H, H_ref, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-13)
+
+    def test_clamped_case_has_clamp_radii(self):
+        params = ENUMERATION_CASES[-1][1]
+        assert len(channel.clamp_radii(params, SQ.diameter)) == 2
+
+    def test_multiplicities_count_every_sequence(self):
+        for t in range(1, 31):
+            classes = entropy._sequence_classes(t)
+            assert int(classes[:, 3].sum()) == 2 ** t
+            # each class once: (first, runs, zeros) are distinct
+            assert len({tuple(c) for c in classes[:, :3].tolist()}) == len(classes)
+        assert len(entropy._sequence_classes(12)) == 134
+
+    def test_transition_counts_add_up(self):
+        for t in range(1, 13):
+            a, k, z, _, n01, n00, n10, n11 = entropy._sequence_classes(t).T
+            assert np.all(np.stack([n01, n00, n10, n11]) >= 0)
+            assert np.array_equal(n01 + n00 + n10 + n11, np.full(len(a), t - 1))
+            assert np.array_equal(n01 + n10, k - 1)
+            # zeros are followed by a stay or a 0->1 flip, except a last zero
+            last = np.where(k % 2 == 1, a, 1 - a)
+            assert np.array_equal(n00 + n01, z - (last == 0))
+
+    def test_marginal_levels_keep_mass(self, paper_params):
+        for t_max in range(1, 13):
+            probs = entropy._class_probabilities(SQ, paper_params, t_max, QuadratureSpec())
+            mass = entropy._sequence_classes(t_max)[:, 3] @ probs
+            assert mass == pytest.approx(1.0, abs=1e-8)
+            for t in range(t_max, 1, -1):
+                same, flipped = entropy._extensions(t)
+                probs = probs[same] + probs[flipped]
+                shorter_mass = entropy._sequence_classes(t - 1)[:, 3] @ probs
+                assert shorter_mass == pytest.approx(mass, rel=0, abs=1e-14)
+                mass = shorter_mass
 
 
 class TestQuadratureBehavior:
