@@ -21,14 +21,12 @@ from .channel import (
 )
 from .entropy import (
     BlockEntropyResult,
+    EdgeMoments,
     EntropyRateBounds,
-    averaged_edge_probability,
-    averaged_transition_probability,
     binary_entropy_terms,
     block_entropy_oracle,
     block_entropy_profile,
-    conditional_entropy_given_distance,
-    conditional_entropy_unconditioned,
+    edge_moments,
     entropy_rate_bounds,
 )
 from .geometry import (
@@ -66,14 +64,12 @@ __all__ = [
     "stationary_distribution",
     "transition_matrix",
     "BlockEntropyResult",
+    "EdgeMoments",
     "EntropyRateBounds",
-    "averaged_edge_probability",
-    "averaged_transition_probability",
     "binary_entropy_terms",
     "block_entropy_oracle",
     "block_entropy_profile",
-    "conditional_entropy_given_distance",
-    "conditional_entropy_unconditioned",
+    "edge_moments",
     "entropy_rate_bounds",
     "DISK",
     "DOMAIN_NAMES",

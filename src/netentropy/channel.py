@@ -8,6 +8,9 @@ transition probabilities of a two-state Markov chain.  The division breaks
 down as r -> 0 where the off state has vanishing probability, so transition
 entries are clamped into [0, 1 - CLAMP_EPS] and every clamping event is
 counted in :data:`clamp_diagnostics`.
+
+The unclamped flip probabilities are written once, in ``_unclamped_rates``,
+which the clamped rates, the clamp radii and the admissibility scan all read.
 """
 
 from __future__ import annotations
@@ -58,6 +61,10 @@ class ChannelParams:
     B: float
 
     def __post_init__(self):
+        for name in ("r0", "eta", "nu", "B"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ChannelError(f"{name} must be finite, got {value}")
         if not self.r0 > 0:
             raise ChannelError(f"r0 must be > 0, got {self.r0}")
         if not self.eta > 0:
@@ -128,15 +135,14 @@ def level_crossing_rate(r, params: ChannelParams):
     return _shape_back(r, SQRT_2PI * np.sqrt(x) * params.nu * np.exp(-x))
 
 
-def transition_probabilities(r, params: ChannelParams):
-    """Clamped flip probabilities (p01, p10) vectorized over distance.
+def _unclamped_rates(r, params: ChannelParams):
+    """Unclamped flip probabilities (p01, p10) at distance r.
 
-    p10 = LCR / (p * B) and p01 = LCR / ((1 - p) * B), both clamped into
-    [0, 1 - CLAMP_EPS].  At r == 0 exactly, p01 is 0 by convention (the off
-    state is unreachable there).  Clamping events go to clamp_diagnostics.
+    p10 = LCR / (p * B) and p01 = LCR / ((1 - p) * B).  At r == 0 exactly,
+    p01 is 0 by convention (the off state is unreachable there).  ``r`` is
+    used as the caller holds it, a float for root finding or an array.
     """
-    arr = _check_r(r)
-    x = (arr / params.r0) ** params.eta
+    x = (r / params.r0) ** params.eta
     sqrt_x = np.sqrt(x)
     # p10: the exp(-x) of the LCR cancels against the on probability
     p10 = SQRT_2PI * params.nu * sqrt_x / params.B
@@ -148,6 +154,16 @@ def transition_probabilities(r, params: ChannelParams):
             SQRT_2PI * params.nu * sqrt_x * np.exp(-x) / (denom * params.B),
             0.0,
         )
+    return p01, p10
+
+
+def transition_probabilities(r, params: ChannelParams):
+    """Clamped flip probabilities (p01, p10) vectorized over distance.
+
+    The unclamped entries of :func:`_unclamped_rates`, clamped into
+    [0, 1 - CLAMP_EPS].  Clamping events go to clamp_diagnostics.
+    """
+    p01, p10 = _unclamped_rates(_check_r(r), params)
     hi = 1.0 - CLAMP_EPS
     n_clamped = int(np.count_nonzero(p01 > hi) + np.count_nonzero(p10 > hi))
     if n_clamped:
@@ -204,7 +220,8 @@ def clamp_radii(params: ChannelParams, diameter: float):
 
     The unclamped p01 is strictly decreasing in r and p10 strictly
     increasing, so each contributes at most one crossing.  These radii are
-    kinks of the clamped model and must be quadrature breakpoints.
+    kinks of the clamped model and must be quadrature breakpoints.  p10
+    grows as (r/r0)**(eta/2), so its crossing has a closed form.
     """
     if params.nu == 0.0:
         return []
@@ -212,20 +229,15 @@ def clamp_radii(params: ChannelParams, diameter: float):
     radii = []
 
     def unclamped_p01(r):
-        x = (r / params.r0) ** params.eta
-        return SQRT_2PI * params.nu * np.sqrt(x) * np.exp(-x) / (-np.expm1(-x) * params.B)
+        return _unclamped_rates(r, params)[0]
 
-    def unclamped_p10(r):
-        return SQRT_2PI * params.nu * np.sqrt((r / params.r0) ** params.eta) / params.B
-
-    lo = 1e-300
     if unclamped_p01(diameter) < hi:
         # divergence at 0+ guarantees a bracket unless already below cap
         r_lo = diameter * 1e-18
         if unclamped_p01(r_lo) > hi:
             radii.append(brentq(lambda r: unclamped_p01(r) - hi, r_lo, diameter, xtol=1e-300, rtol=1e-15))
-    if unclamped_p10(diameter) > hi:
-        radii.append(brentq(lambda r: unclamped_p10(r) - hi, lo, diameter, xtol=1e-300, rtol=1e-15))
+    if _unclamped_rates(diameter, params)[1] > hi:
+        radii.append(params.r0 * (hi * params.B / (SQRT_2PI * params.nu)) ** (2.0 / params.eta))
     return sorted(r for r in radii if 0.0 < r < diameter)
 
 
@@ -266,10 +278,8 @@ def slow_fading_report(params: ChannelParams, domain: Domain,
 
     grid01 = np.geomspace(lo_p01, D, n_scan)
     grid10 = np.geomspace(lo_p10, D, n_scan)
-    x01 = (grid01 / params.r0) ** params.eta
-    p01 = SQRT_2PI * params.nu * np.sqrt(x01) * np.exp(-x01) / (-np.expm1(-x01) * params.B)
-    x10 = (grid10 / params.r0) ** params.eta
-    p10 = SQRT_2PI * params.nu * np.sqrt(x10) / params.B
+    p01 = _unclamped_rates(grid01, params)[0]
+    p10 = _unclamped_rates(grid10, params)[1]
     i01 = int(np.argmax(p01))
     i10 = int(np.argmax(p10))
     return SlowFadingReport(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .channel import ChannelParams, LinkState
+from .channel import ChannelParams
 from .geometry import Domain
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_piecewise
 
@@ -52,13 +52,53 @@ def integration_breakpoints(domain: Domain, params: ChannelParams):
     return sorted(pts)
 
 
-def _edge_moments(domain: Domain, params: ChannelParams,
-                  spec: QuadratureSpec) -> np.ndarray:
-    """One stacked quadrature for every first-order distance average.
+@dataclass(frozen=True)
+class EdgeMoments:
+    """Every first-order distance average of one edge, from one quadrature.
 
-    Returns [P(on), P(off), p01_bar, p00_bar, p10_bar, p11_bar,
-    lower-bound integrand, joint(0,1), joint(1,0)].
+    p_on and p_off are the averaged marginal; p01, p00, p10 and p11 the
+    separately averaged transition entries, the integrals of the clamped
+    conditionals p_ab(r) (not the conditionals of the averaged joint);
+    lower is H(X2|X1,R), the integral of the conditional entropy with the
+    pair distance known; joint01 and joint10 are the averaged joint
+    probabilities P(X1 = 0, X2 = 1) and P(X1 = 1, X2 = 0).
     """
+
+    p_on: float
+    p_off: float
+    p01: float
+    p00: float
+    p10: float
+    p11: float
+    lower: float
+    joint01: float
+    joint10: float
+
+    def composition(self) -> float:
+        """The averaged composition sum_a P(a) H(P(.|a)), the upper bound."""
+        # weight each averaged row's entropy terms by the averaged marginal
+        return self.p_off * float(np.sum(_xlog2(np.array([self.p00, self.p01])))) \
+            + self.p_on * float(np.sum(_xlog2(np.array([self.p10, self.p11]))))
+
+    def joint_conditional(self) -> float:
+        """H(X2|X1) of the averaged joint law P(X1 = a, X2 = b)."""
+        joint = np.array([
+            [self.p_off - self.joint01, self.joint01],   # (0,0), (0,1)
+            [self.joint10, self.p_on - self.joint10],    # (1,0), (1,1)
+        ])
+        marginal = joint.sum(axis=1)
+        h = 0.0
+        for a in (0, 1):
+            for b in (0, 1):
+                if joint[a, b] > 0.0:
+                    h -= joint[a, b] * math.log2(joint[a, b] / marginal[a])
+        return float(h)
+
+
+def edge_moments(domain: Domain, params: ChannelParams,
+                 spec: QuadratureSpec = DEFAULT_SPEC) -> EdgeMoments:
+    """Integrate every :class:`EdgeMoments` field against f_R in one stacked
+    quadrature."""
     density = domain.distance_density()
 
     def integrand(r):
@@ -78,60 +118,8 @@ def _edge_moments(domain: Domain, params: ChannelParams,
             p * p10 * w,
         ])
 
-    return integrate_piecewise(integrand, integration_breakpoints(domain, params), spec)
-
-
-def averaged_edge_probability(domain: Domain, params: ChannelParams,
-                              spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Probability that an edge is on, averaged over the pair distance."""
-    return float(_edge_moments(domain, params, spec)[0])
-
-
-def averaged_transition_probability(domain: Domain, params: ChannelParams,
-                                    a: LinkState, b: LinkState,
-                                    spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Distance-averaged edge transition probability (the per-entry integral
-    of the clamped conditional, not the conditional of the averaged joint)."""
-    m = _edge_moments(domain, params, spec)
-    idx = {(0, 1): 2, (0, 0): 3, (1, 0): 4, (1, 1): 5}
-    return float(m[idx[(int(a), int(b))]])
-
-
-def _composition_from_moments(m: np.ndarray) -> float:
-    # weight each averaged row's entropy terms by the averaged marginal
-    p_on, p_off = m[0], m[1]
-    return p_off * float(np.sum(_xlog2(np.array([m[3], m[2]])))) \
-        + p_on * float(np.sum(_xlog2(np.array([m[4], m[5]]))))
-
-
-def conditional_entropy_unconditioned(domain: Domain, params: ChannelParams,
-                                      spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Per-edge conditional entropy built from the separately averaged
-    marginal and transition probabilities (the upper-bound composition)."""
-    return _composition_from_moments(_edge_moments(domain, params, spec))
-
-
-def conditional_entropy_given_distance(domain: Domain, params: ChannelParams,
-                                       spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Per-edge conditional entropy with pair distances known, averaged over
-    the node placement (the lower-bound integral)."""
-    return float(_edge_moments(domain, params, spec)[6])
-
-
-def _joint_conditional_from_moments(m: np.ndarray) -> float:
-    # H(X2|X1) of the averaged joint law P(X1 = a, X2 = b)
-    p_on, p_off = m[0], m[1]
-    joint = np.array([
-        [p_off - m[7], m[7]],   # (0,0), (0,1)
-        [m[8], p_on - m[8]],    # (1,0), (1,1)
-    ])
-    marginal = joint.sum(axis=1)
-    h = 0.0
-    for a in (0, 1):
-        for b in (0, 1):
-            if joint[a, b] > 0.0:
-                h -= joint[a, b] * math.log2(joint[a, b] / marginal[a])
-    return float(h)
+    return EdgeMoments(*integrate_piecewise(
+        integrand, integration_breakpoints(domain, params), spec).tolist())
 
 
 @dataclass(frozen=True)
@@ -186,10 +174,9 @@ def entropy_rate_bounds(n: int, domain: Domain, params: ChannelParams,
     """Sandwich bounds on the entropy rate of the n-node temporal network."""
     if n < 2:
         raise ValueError(f"node count must be >= 2, got {n}")
-    m = _edge_moments(domain, params, spec)
-    return EntropyRateBounds(per_edge_lower=float(m[6]),
-                             per_edge_upper=_composition_from_moments(m), n=n,
-                             per_edge_joint_upper=_joint_conditional_from_moments(m))
+    m = edge_moments(domain, params, spec)
+    return EntropyRateBounds(per_edge_lower=m.lower, per_edge_upper=m.composition(),
+                             n=n, per_edge_joint_upper=m.joint_conditional())
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,19 @@
 
 Three convex domains of area exactly 1 are supported: the unit square, the
 disk of radius 1/sqrt(pi) and the equilateral triangle of side 2/3**(1/4).
-Each domain knows the closed-form probability density f_R(r) of the distance
-between two independent uniform points inside it, together with the list of
-radii where that density is not smooth (quadrature must split there).
+Each is one :class:`Domain` record of the domain table: its diameter, the
+closed-form probability density f_R(r) of the distance between two independent
+uniform points inside it, the radii where that density is not smooth
+(quadrature must split there), its uniform-to-point map, membership test and
+a longest chord.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
-
-DOMAIN_NAMES = ("square", "disk", "triangle")
 
 _SQRT3 = np.sqrt(3.0)
 _DISK_RADIUS = 1.0 / np.sqrt(np.pi)
@@ -31,59 +31,35 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class Domain:
-    """A unit-area convex region in the plane.
+    """A unit-area convex region in the plane, one row of the domain table.
 
+    ``kinks`` are the interior radii where f_R is not smooth and ``chord``
+    the ends of a longest chord; the private fields hold the domain's
+    formulas (f_R, uniforms to points, membership of coordinates x, y).
     Instances are immutable; obtain them from :func:`domain_from_name` or the
     module-level singletons ``SQUARE``, ``DISK``, ``TRIANGLE``.
     """
 
     name: str
+    diameter: float
+    kinks: Tuple[float, ...]
+    chord: Tuple[Tuple[float, float], Tuple[float, float]]
+    _pdf: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    _points: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
+    _contains: Callable[..., np.ndarray] = field(repr=False)
 
     @property
     def area(self) -> float:
         return 1.0
 
-    @property
-    def diameter(self) -> float:
-        if self.name == "square":
-            return np.sqrt(2.0)
-        if self.name == "disk":
-            return 2.0 * _DISK_RADIUS
-        return _TRI_SIDE
-
     def contains(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         """Membership test for an (..., 2) array of coordinates."""
         pts = np.asarray(points, dtype=float)
-        x, y = pts[..., 0], pts[..., 1]
-        if self.name == "square":
-            return (x >= -tol) & (x <= 1 + tol) & (y >= -tol) & (y <= 1 + tol)
-        if self.name == "disk":
-            return x ** 2 + y ** 2 <= _DISK_RADIUS ** 2 + tol
-        # half-plane tests against the three triangle edges (CCW order)
-        inside = np.ones(np.shape(x), dtype=bool)
-        for k in range(3):
-            a = _TRI_VERTICES[k]
-            b = _TRI_VERTICES[(k + 1) % 3]
-            cross = (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
-            inside &= cross >= -tol
-        return inside
+        return self._contains(pts[..., 0], pts[..., 1], tol)
 
     def points_from_uniforms(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Map two independent U(0,1) arrays to uniform points, shape (len, 2)."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if self.name == "square":
-            return np.column_stack([u, v])
-        if self.name == "disk":
-            r = _DISK_RADIUS * np.sqrt(u)
-            theta = 2.0 * np.pi * v
-            return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-        flip = u + v > 1.0
-        u = np.where(flip, 1.0 - u, u)
-        v = np.where(flip, 1.0 - v, v)
-        e1 = _TRI_VERTICES[1] - _TRI_VERTICES[0]
-        e2 = _TRI_VERTICES[2] - _TRI_VERTICES[0]
-        return _TRI_VERTICES[0] + np.outer(u, e1) + np.outer(v, e2)
+        return self._points(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
     def sample_points(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` independent uniform points, shape (size, 2)."""
@@ -93,15 +69,48 @@ class Domain:
         return DistanceDensity(self)
 
 
-SQUARE = Domain("square")
-DISK = Domain("disk")
-TRIANGLE = Domain("triangle")
+def _square_points(u, v):
+    return np.column_stack([u, v])
+
+
+def _disk_points(u, v):
+    r = _DISK_RADIUS * np.sqrt(u)
+    theta = 2.0 * np.pi * v
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
+
+def _triangle_points(u, v):
+    flip = u + v > 1.0
+    u = np.where(flip, 1.0 - u, u)
+    v = np.where(flip, 1.0 - v, v)
+    e1 = _TRI_VERTICES[1] - _TRI_VERTICES[0]
+    e2 = _TRI_VERTICES[2] - _TRI_VERTICES[0]
+    return _TRI_VERTICES[0] + np.outer(u, e1) + np.outer(v, e2)
+
+
+def _square_contains(x, y, tol):
+    return (x >= -tol) & (x <= 1 + tol) & (y >= -tol) & (y <= 1 + tol)
+
+
+def _disk_contains(x, y, tol):
+    return x ** 2 + y ** 2 <= _DISK_RADIUS ** 2 + tol
+
+
+def _triangle_contains(x, y, tol):
+    # half-plane tests against the three triangle edges (CCW order)
+    inside = np.ones(np.shape(x), dtype=bool)
+    for k in range(3):
+        a = _TRI_VERTICES[k]
+        b = _TRI_VERTICES[(k + 1) % 3]
+        cross = (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
+        inside &= cross >= -tol
+    return inside
 
 
 def domain_from_name(name: str) -> Domain:
     if name not in DOMAIN_NAMES:
         raise DomainError(f"unknown domain {name!r}; expected one of {DOMAIN_NAMES}")
-    return Domain(name)
+    return _DOMAINS[name]
 
 
 def sample_point(domain: Domain, rng: np.random.Generator) -> np.ndarray:
@@ -177,7 +186,16 @@ def _triangle_pdf(r: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-_PDFS = {"square": _square_pdf, "disk": _disk_pdf, "triangle": _triangle_pdf}
+# the domain table
+SQUARE = Domain("square", np.sqrt(2.0), (1.0,), ((0.0, 0.0), (1.0, 1.0)),
+                _square_pdf, _square_points, _square_contains)
+DISK = Domain("disk", 2.0 * _DISK_RADIUS, (), ((-_DISK_RADIUS, 0.0), (_DISK_RADIUS, 0.0)),
+              _disk_pdf, _disk_points, _disk_contains)
+TRIANGLE = Domain("triangle", _TRI_SIDE, (_TRI_HEIGHT,), ((0.0, 0.0), (_TRI_SIDE, 0.0)),
+                  _triangle_pdf, _triangle_points, _triangle_contains)
+DOMAINS = (SQUARE, DISK, TRIANGLE)
+_DOMAINS = {d.name: d for d in DOMAINS}
+DOMAIN_NAMES = tuple(_DOMAINS)
 
 
 @dataclass(frozen=True)
@@ -189,17 +207,10 @@ class DistanceDensity:
     """
 
     domain: Domain
-    breakpoints: Tuple[float, ...] = field(init=False)
 
-    def __post_init__(self):
-        D = self.domain.diameter
-        if self.domain.name == "square":
-            pts = (0.0, 1.0, D)
-        elif self.domain.name == "triangle":
-            pts = (0.0, _TRI_HEIGHT, D)
-        else:
-            pts = (0.0, D)
-        object.__setattr__(self, "breakpoints", pts)
+    @property
+    def breakpoints(self) -> Tuple[float, ...]:
+        return (0.0, *self.domain.kinks, self.domain.diameter)
 
     @property
     def support(self) -> Tuple[float, float]:
@@ -215,7 +226,7 @@ class DistanceDensity:
             raise DomainError(
                 f"distance outside [0, {self.domain.diameter!r}] for {self.domain.name}"
             )
-        out = _PDFS[self.domain.name](arr)
+        out = self.domain._pdf(arr)
         return out if np.ndim(r) else float(out[0])
 
     def __call__(self, r):

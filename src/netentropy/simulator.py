@@ -243,12 +243,7 @@ def pinned_distance_ensemble(domain: Domain, r: float, params: ChannelParams,
     D = domain.diameter
     if not 0.0 < r <= D:
         raise SimulationError(f"pinned distance must be in (0, {D}], got {r}")
-    anchors = {
-        "square": (np.array([0.0, 0.0]), np.array([1.0, 1.0])),
-        "disk": (np.array([-D / 2.0, 0.0]), np.array([D / 2.0, 0.0])),
-        "triangle": (np.array([0.0, 0.0]), np.array([D, 0.0])),
-    }
-    a, b = anchors[domain.name]
+    a, b = np.array(domain.chord)
     mid = 0.5 * (a + b)
     unit = (b - a) / np.linalg.norm(b - a)
     pos = np.stack([mid - 0.5 * r * unit, mid + 0.5 * r * unit])

@@ -37,8 +37,8 @@ def _result(name, passed, detail):
 
 def check_density_normalization(level: str) -> CheckResult:
     worst = 0.0
-    for name in geometry.DOMAIN_NAMES:
-        dens = geometry.domain_from_name(name).distance_density()
+    for dom in geometry.DOMAINS:
+        dens = dom.distance_density()
         val = integrate_piecewise(dens.pdf, dens.breakpoints, TIGHT_SPEC)
         worst = max(worst, abs(val - 1.0))
     return _result("geometry/density-normalization", worst <= 1e-9,
@@ -47,8 +47,7 @@ def check_density_normalization(level: str) -> CheckResult:
 
 def check_density_endpoints(level: str) -> CheckResult:
     worst = 0.0
-    for name in geometry.DOMAIN_NAMES:
-        dom = geometry.domain_from_name(name)
+    for dom in geometry.DOMAINS:
         dens = dom.distance_density()
         worst = max(worst, abs(dens.pdf(0.0)), abs(dens.pdf(dom.diameter)))
     return _result("geometry/density-endpoints", worst <= 1e-9,
@@ -61,8 +60,7 @@ def check_distance_histogram(level: str) -> CheckResult:
     bins = 200 if level == "full" else 50
     worst_p = 1.0
     rng = np.random.default_rng(20240801)
-    for name in geometry.DOMAIN_NAMES:
-        dom = geometry.domain_from_name(name)
+    for dom in geometry.DOMAINS:
         d = geometry.sample_distance(dom, rng, size=n)
         edges = np.linspace(0.0, dom.diameter, bins + 1)
         observed, _ = np.histogram(d, bins=edges)
@@ -78,8 +76,7 @@ def check_distance_histogram(level: str) -> CheckResult:
 
 def check_sampling_reproducibility(level: str) -> CheckResult:
     ok = True
-    for name in geometry.DOMAIN_NAMES:
-        dom = geometry.domain_from_name(name)
+    for dom in geometry.DOMAINS:
         a = dom.sample_points(np.random.default_rng(99), 64)
         b = dom.sample_points(np.random.default_rng(99), 64)
         ok &= np.array_equal(a, b)
@@ -150,13 +147,10 @@ def check_slow_fading(level: str) -> CheckResult:
 
 def check_averaged_row_sums(level: str) -> CheckResult:
     worst = 0.0
-    domains = geometry.DOMAIN_NAMES if level == "full" else ("square",)
-    for name in domains:
-        dom = geometry.domain_from_name(name)
-        for a in (0, 1):
-            row = sum(entropy.averaged_transition_probability(
-                dom, PAPER_PARAMS, channel.LinkState(a), channel.LinkState(b))
-                for b in (0, 1))
+    domains = geometry.DOMAINS if level == "full" else (geometry.SQUARE,)
+    for dom in domains:
+        m = entropy.edge_moments(dom, PAPER_PARAMS)
+        for row in (m.p00 + m.p01, m.p10 + m.p11):
             worst = max(worst, abs(row - 1.0))
     return _result("entropy/averaged-row-sums", worst <= 1e-8,
                    f"max |row sum - 1| = {worst:.2e} (limit 1e-08)")
@@ -165,8 +159,7 @@ def check_averaged_row_sums(level: str) -> CheckResult:
 def check_conditioning_inequality(level: str) -> CheckResult:
     etas = (2.0, 3.0, 4.0) if level == "full" else (2.0,)
     worst = -np.inf
-    for name in geometry.DOMAIN_NAMES:
-        dom = geometry.domain_from_name(name)
+    for dom in geometry.DOMAINS:
         for eta in etas:
             params = ChannelParams(0.7, eta, 500.0, 12e6)
             b = entropy.entropy_rate_bounds(2, dom, params)
@@ -185,13 +178,12 @@ def check_block_entropy_monotone(level: str) -> CheckResult:
 
 def check_sandwich(level: str) -> CheckResult:
     if level == "full":
-        domains = geometry.DOMAIN_NAMES
+        domains = geometry.DOMAINS
         r0s, nus, etas = (0.3, 0.7, 1.1), (10.0, 100.0, 500.0, 1000.0), (2.0, 3.0, 4.0)
     else:
-        domains, r0s, nus, etas = ("square",), (0.7,), (500.0,), (2.0,)
+        domains, r0s, nus, etas = (geometry.SQUARE,), (0.7,), (500.0,), (2.0,)
     worst = -np.inf
-    for name in domains:
-        dom = geometry.domain_from_name(name)
+    for dom in domains:
         for r0 in r0s:
             for nu in nus:
                 for eta in etas:
@@ -262,7 +254,7 @@ def check_simulator_convergence(level: str) -> CheckResult:
     cfg = simulator.SimConfig(n=2, t_steps=4, trials=trials, seed=2024,
                               domain=geometry.SQUARE, params=PAPER_PARAMS)
     ens = simulator.simulate(cfg)
-    p_bar = entropy.averaged_edge_probability(geometry.SQUARE, PAPER_PARAMS)
+    p_bar = entropy.edge_moments(geometry.SQUARE, PAPER_PARAMS).p_on
     density = float(ens.states.mean())
     se = np.sqrt(p_bar * (1 - p_bar) / ens.states.size)
     z = abs(density - p_bar) / se

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from netentropy import channel, geometry
 from netentropy.channel import (
@@ -27,6 +28,11 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
     dict(r0=0.7, eta=0.0, nu=500, B=12e6),
     dict(r0=0.7, eta=2, nu=-1.0, B=12e6),
     dict(r0=0.7, eta=2, nu=500, B=0.0),
+    dict(r0=0.7, eta=2, nu=float("nan"), B=12e6),
+    dict(r0=0.7, eta=2, nu=float("inf"), B=12e6),
+    dict(r0=float("inf"), eta=2, nu=500, B=12e6),
+    dict(r0=0.7, eta=float("inf"), nu=500, B=12e6),
+    dict(r0=0.7, eta=2, nu=500, B=float("inf")),
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ChannelError):
@@ -185,6 +191,15 @@ class TestSlowFading:
         assert not rep.admissible
         assert rep.max_p10 >= p10_at_r0
 
+    @pytest.mark.parametrize("params", [ChannelParams(0.7, 2.0, 500.0, 12e6),
+                                        ChannelParams(0.3, 4.0, 1000.0, 12e6)])
+    def test_scan_shares_the_rate_kernel(self, params):
+        # below the cap the scanned maxima are the clamped rates bit for bit
+        for name in geometry.DOMAIN_NAMES:
+            rep = slow_fading_report(params, geometry.domain_from_name(name))
+            assert rep.max_p01 == transition_probabilities(rep.argmax_p01, params)[0]
+            assert rep.max_p10 == transition_probabilities(rep.argmax_p10, params)[1]
+
 
 class TestClampRadii:
     def test_paper_params(self, paper_params):
@@ -195,6 +210,21 @@ class TestClampRadii:
 
     def test_frozen(self):
         assert clamp_radii(ChannelParams(0.7, 2.0, 0.0, 12e6), 1.4) == []
+
+    def test_p10_radius_closed_form(self):
+        # B = 1 kHz: p01 and p10 both reach the cap inside the square
+        params = ChannelParams(0.7, 2.0, 500.0, 1e3)
+        hi = 1.0 - channel.CLAMP_EPS
+        radii = clamp_radii(params, geometry.SQUARE.diameter)
+        assert len(radii) == 2
+        r10 = params.r0 * (hi * params.B / (SQRT_2PI * params.nu)) ** (2.0 / params.eta)
+        assert r10 in radii
+        root = brentq(lambda r: SQRT_2PI * params.nu * np.sqrt((r / params.r0) ** params.eta)
+                      / params.B - hi, 1e-300, geometry.SQUARE.diameter,
+                      xtol=1e-300, rtol=1e-15)
+        assert r10 == pytest.approx(root, rel=1e-15, abs=0.0)
+        assert transition_probabilities(r10 * (1 + 1e-12), params)[1] == hi
+        assert transition_probabilities(r10 * (1 - 1e-12), params)[1] < hi
 
 
 class TestSnrIndicator:

@@ -215,3 +215,7 @@ class TestOracle:
     def test_rejects_excessive_t(self, capsys):
         code, _ = run(capsys, "oracle", "--t-max", "13")
         assert code == 2
+
+    def test_rejects_non_finite_doppler(self, capsys):
+        assert cli.main(["oracle", "--t-max", "4", "--nu", "nan"]) == 2
+        assert capsys.readouterr().err.startswith("error:")

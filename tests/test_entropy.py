@@ -11,15 +11,13 @@ import numpy as np
 import pytest
 
 from netentropy import channel, entropy, geometry
-from netentropy.channel import ChannelParams, LinkState
+from netentropy.channel import ChannelParams
 from netentropy.entropy import (
-    averaged_edge_probability,
-    averaged_transition_probability,
+    EdgeMoments,
     binary_entropy_terms,
     block_entropy_oracle,
     block_entropy_profile,
-    conditional_entropy_given_distance,
-    conditional_entropy_unconditioned,
+    edge_moments,
     entropy_rate_bounds,
 )
 from netentropy.quadrature import QuadratureError, QuadratureSpec, integrate_piecewise
@@ -59,15 +57,15 @@ class TestAveragedEdgeProbability:
     def test_everything_connected_limit(self):
         D = SQ.diameter
         params = ChannelParams(r0=1e3 * D, eta=2.0, nu=0.0, B=12e6)
-        assert averaged_edge_probability(SQ, params) == pytest.approx(1.0, abs=1e-5)
+        assert edge_moments(SQ, params).p_on == pytest.approx(1.0, abs=1e-5)
 
     def test_nothing_connected_limit(self):
         D = SQ.diameter
         params = ChannelParams(r0=1e-3 * D, eta=2.0, nu=0.0, B=12e6)
-        assert averaged_edge_probability(SQ, params) == pytest.approx(0.0, abs=1e-4)
+        assert edge_moments(SQ, params).p_on == pytest.approx(0.0, abs=1e-4)
 
     def test_golden_value(self, paper_params):
-        assert averaged_edge_probability(SQ, paper_params) == pytest.approx(
+        assert edge_moments(SQ, paper_params).p_on == pytest.approx(
             GOLDEN_P_ON, abs=1e-9)
 
     def test_matches_monte_carlo(self, paper_params, rng):
@@ -75,56 +73,51 @@ class TestAveragedEdgeProbability:
         d = geometry.sample_distance(SQ, rng, size=n)
         sample = channel.connection_probability(d, paper_params)
         se = sample.std(ddof=1) / np.sqrt(n)
-        assert abs(averaged_edge_probability(SQ, paper_params) - sample.mean()) < 3 * se
+        assert abs(edge_moments(SQ, paper_params).p_on - sample.mean()) < 3 * se
 
 
 class TestAveragedTransitionProbability:
     def test_frozen_chain(self):
-        assert averaged_transition_probability(SQ, FROZEN, LinkState.ON, LinkState.ON) \
-            == pytest.approx(1.0, abs=1e-8)
-        assert averaged_transition_probability(SQ, FROZEN, LinkState.ON, LinkState.OFF) == 0.0
-        assert averaged_transition_probability(SQ, FROZEN, LinkState.OFF, LinkState.ON) == 0.0
+        m = edge_moments(SQ, FROZEN)
+        assert m.p11 == pytest.approx(1.0, abs=1e-8)
+        assert m.p10 == 0.0
+        assert m.p01 == 0.0
 
     def test_golden_values(self, paper_params):
-        assert averaged_transition_probability(
-            SQ, paper_params, LinkState.ON, LinkState.OFF) == pytest.approx(
-                GOLDEN_P10_BAR, rel=1e-8)
-        assert averaged_transition_probability(
-            SQ, paper_params, LinkState.OFF, LinkState.ON) == pytest.approx(
-                GOLDEN_P01_BAR, rel=1e-8)
+        m = edge_moments(SQ, paper_params)
+        assert m.p10 == pytest.approx(GOLDEN_P10_BAR, rel=1e-8)
+        assert m.p01 == pytest.approx(GOLDEN_P01_BAR, rel=1e-8)
 
     def test_matches_monte_carlo(self, paper_params, rng):
         n = 1_000_000
         d = geometry.sample_distance(SQ, rng, size=n)
         sample = channel.transition_probabilities(d, paper_params)[1]
         se = sample.std(ddof=1) / np.sqrt(n)
-        quad = averaged_transition_probability(SQ, paper_params, LinkState.ON, LinkState.OFF)
+        quad = edge_moments(SQ, paper_params).p10
         assert abs(quad - sample.mean()) < 3 * se
 
     def test_rows_sum_to_one(self, paper_params):
         for name in geometry.DOMAIN_NAMES:
-            dom = geometry.domain_from_name(name)
-            for a in (LinkState.OFF, LinkState.ON):
-                row = sum(averaged_transition_probability(dom, paper_params, a, LinkState(b))
-                          for b in (0, 1))
+            m = edge_moments(geometry.domain_from_name(name), paper_params)
+            for row in (m.p00 + m.p01, m.p10 + m.p11):
                 assert abs(row - 1.0) < 1e-8
 
 
 class TestConditionalEntropies:
     def test_frozen_chain_is_deterministic(self):
         # zero up to the normalization error of the quadrature itself
-        assert conditional_entropy_unconditioned(SQ, FROZEN) == pytest.approx(0.0, abs=1e-8)
-        assert conditional_entropy_given_distance(SQ, FROZEN) == pytest.approx(0.0, abs=1e-12)
+        assert edge_moments(SQ, FROZEN).composition() == pytest.approx(0.0, abs=1e-8)
+        assert edge_moments(SQ, FROZEN).lower == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_rows_give_one_bit(self):
         # composition formula with all transition rows (0.5, 0.5)
-        moments = np.array([0.4, 0.6, 0.5, 0.5, 0.5, 0.5, np.nan, np.nan, np.nan])
-        assert entropy._composition_from_moments(moments) == pytest.approx(1.0, rel=1e-14)
+        moments = EdgeMoments(0.4, 0.6, 0.5, 0.5, 0.5, 0.5, np.nan, np.nan, np.nan)
+        assert moments.composition() == pytest.approx(1.0, rel=1e-14)
 
     def test_golden_values(self, paper_params):
-        assert conditional_entropy_unconditioned(SQ, paper_params) == pytest.approx(
+        assert edge_moments(SQ, paper_params).composition() == pytest.approx(
             GOLDEN_UPPER, abs=1e-9)
-        assert conditional_entropy_given_distance(SQ, paper_params) == pytest.approx(
+        assert edge_moments(SQ, paper_params).lower == pytest.approx(
             GOLDEN_LOWER, abs=1e-9)
 
     def test_conditioning_reduces_entropy(self):
@@ -133,16 +126,16 @@ class TestConditionalEntropies:
             for eta in (2.0, 3.0, 4.0):
                 for nu in (10.0, 500.0):
                     params = ChannelParams(0.7, eta, nu, 12e6)
-                    assert conditional_entropy_given_distance(dom, params) <= \
-                        conditional_entropy_unconditioned(dom, params) + 1e-12
+                    m = edge_moments(dom, params)
+                    assert m.lower <= m.composition() + 1e-12
 
     def test_hard_connection_shrinks_lower_bound(self):
         # as the connection function hardens the conditional uncertainty of a
         # link given its distance collapses
         for name in geometry.DOMAIN_NAMES:
             dom = geometry.domain_from_name(name)
-            soft = conditional_entropy_given_distance(dom, ChannelParams(0.7, 2.0, 500.0, 12e6))
-            hard = conditional_entropy_given_distance(dom, ChannelParams(0.7, 8.0, 500.0, 12e6))
+            soft = edge_moments(dom, ChannelParams(0.7, 2.0, 500.0, 12e6)).lower
+            hard = edge_moments(dom, ChannelParams(0.7, 8.0, 500.0, 12e6)).lower
             assert hard < soft
 
     def test_lower_matches_monte_carlo(self, paper_params, rng):
@@ -159,7 +152,7 @@ class TestConditionalEntropies:
 
         sample = (1 - p) * h2(p01) + p * h2(p10)
         se = sample.std(ddof=1) / np.sqrt(n)
-        assert abs(conditional_entropy_given_distance(SQ, paper_params)
+        assert abs(edge_moments(SQ, paper_params).lower
                    - sample.mean()) < 3 * se
 
     def test_diagnostics_joint_equals_h2(self, paper_params):
@@ -214,10 +207,8 @@ class TestEntropyRateBounds:
 class TestBlockEntropyOracle:
     def test_t1_is_marginal_entropy(self, paper_params):
         res = block_entropy_oracle(SQ, paper_params, 1)
-        marginal = binary_entropy_terms([
-            averaged_edge_probability(SQ, paper_params),
-            1.0 - averaged_edge_probability(SQ, paper_params),
-        ])
+        p_on = edge_moments(SQ, paper_params).p_on
+        marginal = binary_entropy_terms([p_on, 1.0 - p_on])
         assert res.block_entropy == pytest.approx(marginal, abs=1e-8)
         assert res.conditional_increment == res.block_entropy
 
@@ -360,7 +351,7 @@ class TestQuadratureBehavior:
     def test_failure_propagates(self, paper_params):
         hopeless = QuadratureSpec(nodes_per_panel=8, rel_tolerance=1e-15, max_depth=1)
         with pytest.raises(QuadratureError):
-            averaged_edge_probability(SQ, paper_params, hopeless)
+            edge_moments(SQ, paper_params, hopeless)
 
     def test_node_doubling_stability(self, paper_params):
         base = entropy_rate_bounds(2, SQ, paper_params, QuadratureSpec(nodes_per_panel=16))

@@ -241,7 +241,7 @@ class TestSimulate:
         ens = simulate(cfg)
         per_trial = ens.states.sum(axis=2).mean(axis=1)
         se = per_trial.std(ddof=1) / np.sqrt(cfg.trials)
-        expected = math.comb(50, 2) * entropy.averaged_edge_probability(SQ, paper_params)
+        expected = math.comb(50, 2) * entropy.edge_moments(SQ, paper_params).p_on
         assert abs(per_trial.mean() - expected) < 3.0 * se
 
 
@@ -265,9 +265,8 @@ class TestTransitionFrequencies:
                         params=paper_params)
         ens = simulate(cfg)
         freq = empirical_transition_frequencies(ens)
-        for a, b in ((1, 0), (0, 1)):
-            target = entropy.averaged_transition_probability(
-                SQ, paper_params, channel.LinkState(a), channel.LinkState(b))
+        m = entropy.edge_moments(SQ, paper_params)
+        for a, b, target in ((1, 0, m.p10), (0, 1, m.p01)):
             assert abs(freq.matrix[a, b] - target) < 3.0 * freq.stderr[a, b], (a, b)
 
     def test_unweighted_estimator_targets_joint_conditional(self, paper_params):
@@ -278,13 +277,11 @@ class TestTransitionFrequencies:
         bounds = entropy.entropy_rate_bounds(2, SQ, paper_params)
         # joint-consistent conditional differs from the distance average;
         # compute it from the moments the bounds are built on
-        m = entropy._edge_moments(SQ, paper_params, entropy.DEFAULT_SPEC)
-        joint_10 = m[8] / m[0]
+        m = entropy.edge_moments(SQ, paper_params)
+        joint_10 = m.joint10 / m.p_on
         assert abs(freq.matrix[1, 0] - joint_10) < 3.0 * freq.stderr[1, 0]
         # and it is distinguishable from the plain distance average
-        eq_avg = entropy.averaged_transition_probability(
-            SQ, paper_params, channel.LinkState.ON, channel.LinkState.OFF)
-        assert abs(eq_avg - joint_10) > 4.0 * freq.stderr[1, 0]
+        assert abs(m.p10 - joint_10) > 4.0 * freq.stderr[1, 0]
         assert bounds.per_edge_joint_upper < bounds.per_edge_upper
 
     def test_never_visited_row_flagged(self):
@@ -378,10 +375,13 @@ class TestPinnedEnsemble:
     def test_distance_is_exact(self, paper_params):
         for name in geometry.DOMAIN_NAMES:
             dom = geometry.domain_from_name(name)
-            ens = pinned_distance_ensemble(dom, 0.9, paper_params,
-                                           t_steps=3, trials=4, seed=1)
-            assert np.all(ens.distances == 0.9)
-            assert np.all(dom.contains(ens.positions.reshape(-1, 2)))
+            for r in (0.9, dom.diameter):
+                ens = pinned_distance_ensemble(dom, r, paper_params,
+                                               t_steps=3, trials=4, seed=1)
+                assert np.all(ens.distances == r)
+                assert np.all(dom.contains(ens.positions.reshape(-1, 2)))
+                gap = np.linalg.norm(ens.positions[:, 1] - ens.positions[:, 0], axis=1)
+                np.testing.assert_allclose(gap, r, rtol=1e-15)
 
     def test_rejects_out_of_range(self, paper_params):
         with pytest.raises(SimulationError):
