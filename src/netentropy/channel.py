@@ -11,6 +11,8 @@ counted in :data:`clamp_diagnostics`.
 
 The unclamped flip probabilities are written once, in ``_unclamped_rates``,
 which the clamped rates, the clamp radii and the admissibility scan all read.
+The p01 clamp radius is found on that kernel by an in-repo bracketed solve,
+a k-section over float64 bit patterns, so the module needs only numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .geometry import Domain
 
@@ -34,6 +35,11 @@ R_MIN_FRACTION = 1e-6
 # the off->on entry is only scanned where the off state has occupancy
 # at least OCCUPANCY_FLOOR (the approximation diverges as occupancy -> 0)
 OCCUPANCY_FLOOR = 1e-5
+# smallest normal float64: the lower bracket of the p01 clamp radius in x
+_TINY = np.finfo(float).tiny
+# where each round of the p01 clamp radius solve cuts its bracket: 255 cuts
+# reach adjacent floats in about eight rounds, as fast as a scipy brentq
+_KSECTION_STEPS = np.arange(1.0, 256.0) / 256.0
 
 
 class ChannelError(ValueError):
@@ -221,24 +227,51 @@ def clamp_radii(params: ChannelParams, diameter: float):
     The unclamped p01 is strictly decreasing in r and p10 strictly
     increasing, so each contributes at most one crossing.  These radii are
     kinks of the clamped model and must be quadrature breakpoints.  p10
-    grows as (r/r0)**(eta/2), so its crossing has a closed form.
+    grows as (r/r0)**(eta/2), so its crossing has a closed form.  The p01
+    crossing is solved on the rate kernel by k-section over the float64 bit
+    patterns of r (see :func:`_p01_cap_radius`).  Its lower bracket is the
+    radius where x = (r/r0)**eta is the smallest normal float, so the kernel
+    never sees the x == 0 of an underflowed power; a crossing below it, where
+    x is not representable, is not reported.
     """
     if params.nu == 0.0:
         return []
     hi = 1.0 - CLAMP_EPS
+    r_lo = max(params.r0 * _TINY ** (1.0 / params.eta), _TINY)
+    ends = np.array([r_lo, diameter])
+    p01, p10 = _unclamped_rates(ends, params)
     radii = []
-
-    def unclamped_p01(r):
-        return _unclamped_rates(r, params)[0]
-
-    if unclamped_p01(diameter) < hi:
-        # divergence at 0+ guarantees a bracket unless already below cap
-        r_lo = diameter * 1e-18
-        if unclamped_p01(r_lo) > hi:
-            radii.append(brentq(lambda r: unclamped_p01(r) - hi, r_lo, diameter, xtol=1e-300, rtol=1e-15))
-    if _unclamped_rates(diameter, params)[1] > hi:
+    # p01 diverges at 0+: the bracket holds unless p01 is below cap throughout
+    if r_lo < diameter and p01[0] > hi and p01[1] <= hi:
+        radii.append(_p01_cap_radius(params, ends))
+    if p10[1] > hi:
         radii.append(params.r0 * (hi * params.B / (SQRT_2PI * params.nu)) ** (2.0 / params.eta))
     return sorted(r for r in radii if 0.0 < r < diameter)
+
+
+def _p01_cap_radius(params: ChannelParams, ends: np.ndarray) -> float:
+    """Float r where the unclamped p01 drops to the cap, between ``ends``.
+
+    ``ends`` holds two positive radii, p01 above the cap at the first and not
+    at the second.  Positive floats are ordered like their bit patterns as
+    integers, so each round evaluates the kernel at 255 patterns evenly
+    spaced in the bracket and keeps the cell where p01 first drops to the
+    cap.  The rounds stop at adjacent floats: p01 is above the cap at the
+    float below the returned r and not above it at r.
+    """
+    hi = 1.0 - CLAMP_EPS
+    lo, up = ends.view(np.int64).tolist()
+    while up - lo > 1:
+        bits = lo + ((up - lo) * _KSECTION_STEPS).astype(np.int64)
+        above = _unclamped_rates(bits.view(np.float64), params)[0] > hi
+        i = int(above.argmin())
+        if above[i]:
+            lo = int(bits[-1])
+        else:
+            up = int(bits[i])
+            if i:
+                lo = int(bits[i - 1])
+    return float(np.int64(up).view(np.float64))
 
 
 @dataclass(frozen=True)

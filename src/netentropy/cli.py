@@ -188,7 +188,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             simulator.export_snapshots(ensemble, fh)
     except OSError as exc:
-        print(f"cannot write snapshots to {args.out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write snapshots to {args.out}: {exc}", file=sys.stderr)
         return 1
 
     rows = [("mean_edge_density", "", "", float(ensemble.states.mean()))]
@@ -214,7 +214,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         _write_csv(summary_path, ("metric", "arg1", "arg2", "value"), rows)
     except OSError as exc:
-        print(f"cannot write summary to {summary_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot write summary to {summary_path}: {exc}", file=sys.stderr)
         return 1
     return 0
 
@@ -322,6 +322,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, simulator.SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # unreadable --config, unwritable --out
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

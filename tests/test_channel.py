@@ -201,7 +201,48 @@ class TestSlowFading:
             assert rep.max_p10 == transition_probabilities(rep.argmax_p10, params)[1]
 
 
+def brentq_p01_radius(params, diameter):
+    """brentq root of the unclamped p01 at the cap, bracketed where the
+    kernel's x = (r/r0)**eta is 1e-300, far from underflow."""
+    hi = 1.0 - channel.CLAMP_EPS
+    r_lo = params.r0 * 1e-300 ** (1.0 / params.eta)
+    return brentq(lambda r: channel._unclamped_rates(r, params)[0] - hi,
+                  r_lo, diameter, xtol=1e-300, rtol=1e-15)
+
+
+def assert_p01_radius(params, radius, diameter):
+    """p01 root within a few ulps of brentq's, the cap crossed around it."""
+    hi = 1.0 - channel.CLAMP_EPS
+    ref = brentq_p01_radius(params, diameter)
+    assert abs(radius - ref) <= 8 * np.spacing(ref), (radius, ref)
+    p01_above = channel._unclamped_rates(radius * (1 + 1e-12), params)[0]
+    p01_below = channel._unclamped_rates(radius * (1 - 1e-12), params)[0]
+    assert p01_above <= hi < p01_below
+
+
 class TestClampRadii:
+    @pytest.mark.parametrize("domain", geometry.DOMAINS, ids=geometry.DOMAIN_NAMES)
+    @pytest.mark.parametrize("r0, eta, nu", [
+        (0.05, 2.0, 500.0), (0.3, 2.0, 10.0), (0.7, 2.0, 500.0),
+        (0.7, 4.0, 1000.0), (1.1, 3.0, 1.0), (2.5, 1.1, 6.6), (0.7, 12.0, 500.0),
+    ])
+    def test_p01_radius_matches_brentq(self, domain, r0, eta, nu):
+        params = ChannelParams(r0, eta, nu, 12e6)
+        radii = clamp_radii(params, domain.diameter)
+        assert len(radii) == 1
+        assert_p01_radius(params, radii[0], domain.diameter)
+
+    @pytest.mark.parametrize("r0", [0.7, 1.0])
+    def test_p01_radius_at_large_eta(self, r0):
+        # (r/r0)**19 underflows below r ~ 1e-17 * r0: the old bracket there
+        # read p01 = 0 and dropped the radius, though p01(0.2) is about 15
+        params = ChannelParams(r0, 19.0, 500.0, 12e6)
+        hi = 1.0 - channel.CLAMP_EPS
+        assert channel._unclamped_rates(0.2, params)[0] > hi
+        radii = clamp_radii(params, geometry.SQUARE.diameter)
+        assert len(radii) == 1
+        assert_p01_radius(params, radii[0], geometry.SQUARE.diameter)
+
     def test_paper_params(self, paper_params):
         radii = clamp_radii(paper_params, geometry.SQUARE.diameter)
         assert len(radii) == 1
@@ -225,6 +266,8 @@ class TestClampRadii:
         assert r10 == pytest.approx(root, rel=1e-15, abs=0.0)
         assert transition_probabilities(r10 * (1 + 1e-12), params)[1] == hi
         assert transition_probabilities(r10 * (1 - 1e-12), params)[1] < hi
+        (r01,) = [r for r in radii if r != r10]
+        assert_p01_radius(params, r01, geometry.SQUARE.diameter)
 
 
 class TestSnrIndicator:

@@ -1,5 +1,10 @@
 """CLI subcommands: schema, determinism, config handling, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from netentropy import cli
@@ -178,6 +183,51 @@ class TestSimulate:
                          "--out", str(tmp_path / "missing" / "snap.csv")])
         assert code == 1
         assert "cannot write snapshots" in capsys.readouterr().err
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("command", ["bounds-sweep", "simulate", "oracle"])
+    def test_missing_config(self, command, tmp_path, capsys):
+        argv = [command, "--config", str(tmp_path / "missing.cfg")]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "snap.csv")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing.cfg" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds-sweep", "--grid", "0.7", "--eta", "2", "--domain", "square"],
+        ["oracle", "--t-max", "2"],
+    ])
+    def test_unwritable_out(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "x.csv" in err
+
+
+# Runs every command but validate in a fresh interpreter and lists the scipy
+# modules it loaded; the library's runtime path needs only numpy.
+_IMPORT_PROBE = """
+import sys
+from netentropy import cli
+assert cli.main(["bounds-sweep", "--grid", "0.7", "--eta", "2",
+                 "--domain", "square", "--out", "sweep.csv"]) == 0
+assert cli.main(["oracle", "--t-max", "2", "--out", "oracle.csv"]) == 0
+assert cli.main(["simulate", "--nodes", "3", "--steps", "2", "--trials", "2",
+                 "--out", "snap.csv"]) == 0
+print(",".join(sorted(m for m in sys.modules
+                      if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 class TestValidate:
