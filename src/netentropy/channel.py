@@ -145,7 +145,9 @@ def _unclamped_rates(r, params: ChannelParams):
     """Unclamped flip probabilities (p01, p10) at distance r.
 
     p10 = LCR / (p * B) and p01 = LCR / ((1 - p) * B).  At r == 0 exactly,
-    p01 is 0 by convention (the off state is unreachable there).  ``r`` is
+    p01 is 0 by convention (the off state is unreachable there).  At r > 0
+    p01 diverges like 1/sqrt(x) as x -> 0, so where x = (r/r0)**eta
+    underflows to 0 it is +inf (0 for a frozen chain, nu == 0).  ``r`` is
     used as the caller holds it, a float for root finding or an array.
     """
     x = (r / params.r0) ** params.eta
@@ -154,11 +156,12 @@ def _unclamped_rates(r, params: ChannelParams):
     p10 = SQRT_2PI * params.nu * sqrt_x / params.B
     # p01 = sqrt(2 pi) nu sqrt(x) e^-x / ((1 - e^-x) B); -expm1(-x) = 1 - e^-x
     denom = -np.expm1(-x)
+    limit = np.where(r > 0.0, np.inf if params.nu > 0.0 else 0.0, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         p01 = np.where(
             denom > 0.0,
             SQRT_2PI * params.nu * sqrt_x * np.exp(-x) / (denom * params.B),
-            0.0,
+            limit,
         )
     return p01, p10
 

@@ -10,10 +10,15 @@ when two successive depths agree to the requested relative tolerance.
 Integrands are evaluated vectorized: ``f(nodes)`` receives a 1-D array of
 abscissae and may return either a matching 1-D array or a stack of integrand
 components with shape (..., len(nodes)); the integral keeps the leading shape.
+One call carries the nodes of every segment of one refinement depth, in
+segment order, at most 4,096 of them, so a call may span breakpoints and
+``f`` must be elementwise in its argument: the value at a node may not
+depend on the other nodes of the call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +48,11 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss_nodes(order: int):
-    return np.polynomial.legendre.leggauss(order)
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg.flags.writeable = wg.flags.writeable = False   # shared by every call
+    return xg, wg
 
 
 # cap on nodes per integrand call so deep refinement of wide vector
@@ -52,21 +60,46 @@ def _gauss_nodes(order: int):
 _MAX_NODES_PER_CALL = 4096
 
 
+def _calls(groups, panels_per_call: int):
+    """Split the panel groups, in order, into runs that fit one call."""
+    batch, panels = [], 0
+    for group in groups:
+        if panels + len(group[0]) > panels_per_call:
+            yield batch
+            batch, panels = [], 0
+        batch.append(group)
+        panels += len(group[0])
+    yield batch
+
+
 def _eval_depth(f, segments, depth: int, order: int):
-    """Integral with each segment split into 2**depth equal panels."""
+    """Integral with each segment split into 2**depth equal panels.
+
+    Each segment's panels are summed in groups of at most ``panels_per_call``.
+    Consecutive groups, across segments, share one integrand call while their
+    nodes fit the cap; each group's weighted sum is then formed on its own
+    and added in segment order, so merging calls does not move a bit.
+    """
     xg, wg = _gauss_nodes(order)
     panels_per_call = max(1, _MAX_NODES_PER_CALL // order)
-    total = None
+    groups = []   # (half-widths, midpoints) of each panel group, in order
     for lo, hi in segments:
         edges = np.linspace(lo, hi, 2 ** depth + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])
         for start in range(0, len(mid), panels_per_call):
             sl = slice(start, start + panels_per_call)
-            nodes = (mid[sl, None] + half[sl, None] * xg[None, :]).ravel()
-            vals = np.asarray(f(nodes), dtype=float)
-            vals = vals.reshape(vals.shape[:-1] + (-1, order))
-            contrib = np.sum(vals * wg, axis=-1) @ half[sl]
+            groups.append((half[sl], mid[sl]))
+    total = None
+    for batch in _calls(groups, panels_per_call):
+        nodes = np.concatenate([(mid[:, None] + half[:, None] * xg[None, :]).ravel()
+                                for half, mid in batch])
+        vals = np.asarray(f(nodes), dtype=float)
+        vals = vals.reshape(vals.shape[:-1] + (-1, order))
+        at = 0
+        for half, _ in batch:
+            contrib = np.sum(vals[..., at:at + len(half), :] * wg, axis=-1) @ half
+            at += len(half)
             total = contrib if total is None else total + contrib
     return total
 

@@ -126,6 +126,19 @@ class TestTransitionMatrix:
         m = transition_matrix(0.0, paper_params)
         assert m.p01 == 0.0 and m.p10 == 0.0 and not m.clamped
 
+    @pytest.mark.parametrize("r", [1e-18, 1e-30])
+    def test_underflowed_power_clamps(self, r):
+        # x = (r/r0)**eta underflows to 0 at r > 0, where p01 still diverges
+        params = ChannelParams(r0=0.7, eta=19.0, nu=500.0, B=12e6)
+        assert (r / params.r0) ** params.eta == 0.0
+        hi = 1.0 - channel.CLAMP_EPS
+        assert transition_probabilities(r, params) == (hi, 0.0)
+        p01, _ = transition_probabilities(np.array([0.0, r, 1e-17]), params)
+        assert p01.tolist() == [0.0, hi, hi]
+        assert transition_probabilities(0.0, params) == (0.0, 0.0)
+        frozen = ChannelParams(r0=0.7, eta=19.0, nu=0.0, B=12e6)
+        assert transition_probabilities(r, frozen) == (0.0, 0.0)
+
     def test_clamping_recorded(self, paper_params):
         clamp_diagnostics.reset()
         m = transition_matrix(1e-6, paper_params)  # deep in the divergence region

@@ -1,5 +1,6 @@
 """CLI subcommands: schema, determinism, config handling, exit codes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,25 @@ from pathlib import Path
 import pytest
 
 from netentropy import cli
+
+
+# sha256 of the CSV each command writes, recorded with one integrand call
+# per segment and refinement depth (numpy 2.4, x86-64).  Keys are the
+# argument lists; the last oracle clamps both p01 and p10 (B = 1 kHz).
+GOLDEN_CSV = {
+    ("bounds-sweep", "--variable", "r0"):
+        "58693a8d047b1ab696e76bad2e699d0273bc7b355a191d59c4542421c64de741",
+    ("bounds-sweep", "--variable", "nu"):
+        "f8cd9f0b85f4a9d0a8c5a2e69b23dbd19a32a603140cd391dd1bd247f43c3357",
+    ("oracle", "--t-max", "12", "--domain", "square"):
+        "ea0d06b8e61b136451f514320043c5d1dcde2f7b44e7ed7253cc19a9f4ec0249",
+    ("oracle", "--t-max", "12", "--domain", "disk"):
+        "83e8b7de5d98b69114786d91b3380a71333cbca578a420ea46636a087d9a7459",
+    ("oracle", "--t-max", "12", "--domain", "triangle"):
+        "35b2bc9665d7a6bda5247fa4784c98f10efd14f1a5a9c0bf418534c2491d862f",
+    ("oracle", "--t-max", "12", "--r0", "0.3", "--symbol-rate", "1000"):
+        "baed57950ea5f55763fd1795f0c46b7995d889c4bd114abf9dc29155bd1c929d",
+}
 
 
 def run(capsys, *argv):
@@ -99,6 +119,13 @@ class TestBoundsSweep:
     def test_small_n_rejected(self, capsys):
         code, _ = run(capsys, "bounds-sweep", "--grid", "0.7", "--nodes", "1")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_CSV))
+def test_csv_digest(argv, tmp_path):
+    out = tmp_path / "out.csv"
+    assert cli.main(list(argv) + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV[argv]
 
 
 class TestConfigFile:

@@ -5,6 +5,8 @@ oracles (1e7 uniform point pairs, seed 777) during development; the recorded
 quadrature/MC z-scores were all below 1.5.
 """
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -33,6 +35,26 @@ GOLDEN_UPPER = 1.755324341892e-03
 GOLDEN_H2 = 1.0817791269e-03
 
 FROZEN = ChannelParams(r0=0.7, eta=2.0, nu=0.0, B=12e6)
+
+# sha256 of the float64 fields of edge_moments(domain, ChannelParams(r0, eta,
+# nu, B)) at the default spec, recorded with one integrand call per segment
+# and refinement depth (numpy 2.4, x86-64).  Keys are (domain, r0, eta, nu,
+# B).  The disk points refine to depth 4, eta = 19 puts the p01 clamp radius
+# at 0.267, and B = 1 kHz clamps both p01 and p10 (four segments).
+GOLDEN_EDGE_MOMENTS = {
+    ("square", 0.7, 2.0, 500.0, 12e6):
+        "23b452e6d6522b9c491009fd03596b348508bee45154720fb5d7fa630e89e264",
+    ("disk", 0.7, 2.0, 500.0, 12e6):
+        "ac3a15e5925d1c207b425752cade6c4d50f7c1898206f42333395561487b216f",
+    ("triangle", 0.3, 4.0, 1000.0, 12e6):
+        "9b1eb89921d2ce70e691399b78274c88b40fcd5b04a0c46f645f272f870d16f4",
+    ("square", 0.7, 19.0, 500.0, 12e6):
+        "f3d2e377f7238c61f3b9a104bd9a6e3ee31435df3cab77db720d17fefbc0626b",
+    ("square", 0.7, 2.0, 500.0, 1e3):
+        "08b7e900279a54a0e51f285ddb5e69f80ce86851eebf8837bc7888158092f4ce",
+    ("disk", 1.1, 3.0, 10.0, 12e6):
+        "c94c70d48f9c423c194f48fe6a0db7ee5f8d024e0159bab334114c15630f1e03",
+}
 
 
 class TestBinaryEntropyTerms:
@@ -348,6 +370,13 @@ class TestClassOracle:
 
 
 class TestQuadratureBehavior:
+    @pytest.mark.parametrize("point", sorted(GOLDEN_EDGE_MOMENTS))
+    def test_edge_moments_digest(self, point):
+        name, *params = point
+        m = edge_moments(geometry.domain_from_name(name), ChannelParams(*params))
+        fields = np.array(dataclasses.astuple(m), dtype=np.float64)
+        assert hashlib.sha256(fields.tobytes()).hexdigest() == GOLDEN_EDGE_MOMENTS[point]
+
     def test_failure_propagates(self, paper_params):
         hopeless = QuadratureSpec(nodes_per_panel=8, rel_tolerance=1e-15, max_depth=1)
         with pytest.raises(QuadratureError):

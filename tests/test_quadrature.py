@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from netentropy import quadrature
 from netentropy.quadrature import QuadratureError, QuadratureSpec, integrate_piecewise
 
 
@@ -62,3 +63,106 @@ def test_refinement_agrees_across_depths():
     tight = integrate_piecewise(lambda x: np.exp(-x * x), [0.0, 3.0],
                                 QuadratureSpec(rel_tolerance=1e-13, max_depth=14))
     assert loose == pytest.approx(tight, abs=1e-9)
+
+
+def reference_integral(f, breakpoints, spec):
+    """integrate_piecewise with one integrand call per panel group of each
+    segment: the arithmetic its merged calls must reproduce bit for bit.
+    Returns (result, accepted depth)."""
+    xg, wg = np.polynomial.legendre.leggauss(spec.nodes_per_panel)
+    per_call = max(1, quadrature._MAX_NODES_PER_CALL // spec.nodes_per_panel)
+
+    def at_depth(depth):
+        total = None
+        for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
+            edges = np.linspace(lo, hi, 2 ** depth + 1)
+            half = 0.5 * (edges[1:] - edges[:-1])
+            mid = 0.5 * (edges[1:] + edges[:-1])
+            for start in range(0, len(mid), per_call):
+                sl = slice(start, start + per_call)
+                vals = np.asarray(f((mid[sl, None] + half[sl, None] * xg).ravel()))
+                vals = vals.reshape(vals.shape[:-1] + (-1, spec.nodes_per_panel))
+                contrib = np.sum(vals * wg, axis=-1) @ half[sl]
+                total = contrib if total is None else total + contrib
+        return total
+
+    prev = at_depth(0)
+    for depth in range(1, spec.max_depth + 1):
+        cur = at_depth(depth)
+        if np.max(np.abs(cur - prev)) <= spec.rel_tolerance * max(1.0, np.max(np.abs(cur))):
+            return cur, depth
+        prev = cur
+    raise AssertionError("reference did not converge")
+
+
+def wavy(x):
+    # the pole just left of 0 takes 16-node panels to depth 4
+    return np.exp(-x) * np.sin(9.0 * x) + 1.0 / (0.02 + x)
+
+
+def wavy_stack(x):
+    return np.stack([wavy(x), np.cos(5.0 * x), x ** 3])
+
+
+THREE_SEGMENTS = [0.0, 0.37, 1.25, 2.0]
+TIGHT = QuadratureSpec(rel_tolerance=1e-13)
+
+
+class TestEvaluationContract:
+    """One integrand call per refinement depth, bit-identical to evaluating
+    each segment on its own, never more nodes than the cap in one call."""
+
+    def counted(self, f):
+        sizes = []
+
+        def integrand(nodes):
+            sizes.append(len(nodes))
+            return f(nodes)
+        return integrand, sizes
+
+    @pytest.mark.parametrize("f", [wavy, wavy_stack])
+    def test_one_call_per_depth(self, f):
+        integrand, sizes = self.counted(f)
+        got = integrate_piecewise(integrand, THREE_SEGMENTS, TIGHT)
+        want, depth = reference_integral(f, THREE_SEGMENTS, TIGHT)
+        assert depth >= 3
+        # depth + 1 calls, each with all three segments' nodes
+        assert sizes == [3 * 16 * 2 ** d for d in range(depth + 1)]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("f", [wavy, wavy_stack])
+    @pytest.mark.parametrize("order,cap", [(16, 80), (16, 640), (12, 500), (9, 200)])
+    def test_calls_across_segments_match_reference(self, f, order, cap, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_NODES_PER_CALL", cap)
+        spec = QuadratureSpec(nodes_per_panel=order, rel_tolerance=1e-13)
+        calls = []
+
+        def integrand(nodes):
+            calls.append(nodes.copy())
+            return f(nodes)
+
+        got = integrate_piecewise(integrand, THREE_SEGMENTS, spec)
+        want, _ = reference_integral(f, THREE_SEGMENTS, spec)
+        assert np.array_equal(got, want)
+        assert max(len(nodes) for nodes in calls) <= cap
+        inner = THREE_SEGMENTS[1:-1]
+        straddling = [nodes for nodes in calls
+                      if any(nodes.min() < b < nodes.max() for b in inner)]
+        assert straddling, "no call spanned a segment boundary"
+
+    def test_cap_holds_at_depth(self):
+        # depth 9 has 3 * 16 * 512 nodes: six full calls at the cap
+        integrand, sizes = self.counted(lambda x: np.sqrt(x) * np.sin(1e3 * x))
+        spec = QuadratureSpec(rel_tolerance=1e-15, max_depth=9)
+        with pytest.raises(QuadratureError):
+            integrate_piecewise(integrand, THREE_SEGMENTS, spec)
+        assert max(sizes) == quadrature._MAX_NODES_PER_CALL
+        assert sum(sizes) == 3 * 16 * (2 ** 10 - 1)
+
+    def test_rule_is_cached_and_read_only(self):
+        xg, wg = quadrature._gauss_nodes(16)
+        assert quadrature._gauss_nodes(16)[0] is xg
+        assert np.array_equal((xg, wg), np.polynomial.legendre.leggauss(16))
+        for arr in (xg, wg):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
