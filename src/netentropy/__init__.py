@@ -10,20 +10,14 @@ against a seeded Monte Carlo simulator.
 
 from .channel import (
     ChannelParams,
-    LinkState,
-    TransitionMatrix,
     connection_probability,
     level_crossing_rate,
     slow_fading_report,
-    snr_connection_indicator,
-    stationary_distribution,
-    transition_matrix,
 )
 from .entropy import (
     BlockEntropyResult,
     EdgeMoments,
     EntropyRateBounds,
-    binary_entropy_terms,
     block_entropy_oracle,
     block_entropy_profile,
     edge_moments,
@@ -36,10 +30,8 @@ from .geometry import (
     TRIANGLE,
     DistanceDensity,
     Domain,
-    distance_pdf,
     domain_from_name,
     sample_distance,
-    sample_point,
 )
 from .quadrature import QuadratureError, QuadratureSpec, integrate_piecewise
 from .simulator import (
@@ -55,18 +47,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelParams",
-    "LinkState",
-    "TransitionMatrix",
     "connection_probability",
     "level_crossing_rate",
     "slow_fading_report",
-    "snr_connection_indicator",
-    "stationary_distribution",
-    "transition_matrix",
     "BlockEntropyResult",
     "EdgeMoments",
     "EntropyRateBounds",
-    "binary_entropy_terms",
     "block_entropy_oracle",
     "block_entropy_profile",
     "edge_moments",
@@ -77,10 +63,8 @@ __all__ = [
     "TRIANGLE",
     "DistanceDensity",
     "Domain",
-    "distance_pdf",
     "domain_from_name",
     "sample_distance",
-    "sample_point",
     "QuadratureError",
     "QuadratureSpec",
     "integrate_piecewise",

@@ -17,7 +17,6 @@ a k-section over float64 bit patterns, so the module needs only numpy.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,8 @@ R_MIN_FRACTION = 1e-6
 # the off->on entry is only scanned where the off state has occupancy
 # at least OCCUPANCY_FLOOR (the approximation diverges as occupancy -> 0)
 OCCUPANCY_FLOOR = 1e-5
+# geometric grid points per entry of the admissibility scan
+_N_SCAN = 2048
 # smallest normal float64: the lower bracket of the p01 clamp radius in x
 _TINY = np.finfo(float).tiny
 # where each round of the p01 clamp radius solve cuts its bracket: 255 cuts
@@ -44,11 +45,6 @@ _KSECTION_STEPS = np.arange(1.0, 256.0) / 256.0
 
 class ChannelError(ValueError):
     """Invalid channel parameter or out-of-domain argument."""
-
-
-class LinkState(enum.IntEnum):
-    OFF = 0
-    ON = 1
 
 
 @dataclass(frozen=True)
@@ -95,26 +91,6 @@ class ClampDiagnostics:
 
 
 clamp_diagnostics = ClampDiagnostics()
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic 2x2 matrix of one edge's on/off chain at fixed distance."""
-
-    p01: float  # off -> on
-    p10: float  # on -> off
-    clamped: bool = False
-
-    @property
-    def p00(self) -> float:
-        return 1.0 - self.p01
-
-    @property
-    def p11(self) -> float:
-        return 1.0 - self.p10
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.p00, self.p01], [self.p10, self.p11]])
 
 
 def _check_r(r) -> np.ndarray:
@@ -180,48 +156,6 @@ def transition_probabilities(r, params: ChannelParams):
         p01 = np.minimum(p01, hi)
         p10 = np.minimum(p10, hi)
     return _shape_back(r, p01), _shape_back(r, p10)
-
-
-def transition_matrix(r: float, params: ChannelParams) -> TransitionMatrix:
-    """Two-state transition matrix of a link at scalar distance r."""
-    before = clamp_diagnostics.events
-    p01, p10 = transition_probabilities(float(r), params)
-    return TransitionMatrix(p01=p01, p10=p10, clamped=clamp_diagnostics.events > before)
-
-
-def stationary_distribution(m: TransitionMatrix, marginal: float | None = None):
-    """Solve pi P = pi for the two-state chain; returns (pi_off, pi_on).
-
-    A frozen chain (p01 == p10 == 0) has no unique stationary law; the caller
-    must then supply the on-probability ``marginal`` or an error is raised.
-    """
-    if m.p01 == 0.0 and m.p10 == 0.0:
-        if marginal is None:
-            raise ChannelError(
-                "indeterminate stationary distribution of a frozen chain; "
-                "supply the on-probability marginal"
-            )
-        return (1.0 - marginal, marginal)
-    pi_on = m.p01 / (m.p01 + m.p10)
-    return (1.0 - pi_on, pi_on)
-
-
-def snr_connection_indicator(r: float, params: ChannelParams,
-                             rng: np.random.Generator, size=None):
-    """Sample the link indicator by thresholding an exponential SNR draw.
-
-    The mean SNR is (r/r0)**-eta with the threshold normalized to 1, so the
-    on-frequency over many draws converges to connection_probability(r).
-    Returns a LinkState for ``size=None``, else an int8 array of 0/1.
-    """
-    r = float(r)
-    if r <= 0.0:
-        raise ChannelError("snr_connection_indicator requires r > 0")
-    mean_snr = (r / params.r0) ** (-params.eta)
-    gamma = rng.exponential(scale=mean_snr, size=size)
-    if size is None:
-        return LinkState.ON if gamma >= 1.0 else LinkState.OFF
-    return (gamma >= 1.0).astype(np.int8)
 
 
 def clamp_radii(params: ChannelParams, diameter: float):
@@ -291,8 +225,7 @@ class SlowFadingReport:
     admissible: bool
 
 
-def slow_fading_report(params: ChannelParams, domain: Domain,
-                       n_scan: int = 2048) -> SlowFadingReport:
+def slow_fading_report(params: ChannelParams, domain: Domain) -> SlowFadingReport:
     """Scan unclamped transition probabilities over [0, D] for admissibility.
 
     Both entries must stay at or below THETA_SLOW.  The off->on entry is
@@ -312,8 +245,8 @@ def slow_fading_report(params: ChannelParams, domain: Domain,
         return SlowFadingReport(0.0, lo_p01, 0.0, lo_p10, lo_p01, lo_p10,
                                 THETA_SLOW, True)
 
-    grid01 = np.geomspace(lo_p01, D, n_scan)
-    grid10 = np.geomspace(lo_p10, D, n_scan)
+    grid01 = np.geomspace(lo_p01, D, _N_SCAN)
+    grid10 = np.geomspace(lo_p10, D, _N_SCAN)
     p01 = _unclamped_rates(grid01, params)[0]
     p10 = _unclamped_rates(grid10, params)[1]
     i01 = int(np.argmax(p01))

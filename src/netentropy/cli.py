@@ -60,7 +60,7 @@ def _load_config(path: Optional[str]) -> dict:
             if not stripped:
                 continue
             if "=" not in stripped:
-                raise SystemExit(f"{path}:{lineno}: expected 'key = value'")
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = stripped.partition("=")
             values[key.strip().replace("-", "_")] = val.strip()
     return values
@@ -183,13 +183,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         domain=domain,
         params=params,
     )
-    try:
-        ensemble = simulator.simulate(sim_config)
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            simulator.export_snapshots(ensemble, fh)
-    except OSError as exc:
-        print(f"error: cannot write snapshots to {args.out}: {exc}", file=sys.stderr)
-        return 1
+    ensemble = simulator.simulate(sim_config)
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        simulator.export_snapshots(ensemble, fh)
 
     rows = [("mean_edge_density", "", "", float(ensemble.states.mean()))]
     if sim_config.t_steps >= 2:
@@ -210,17 +206,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             rows.append(("block_entropy_oracle", t, "", float(oracle_H[t - 1])))
             rows.append(("block_entropy_delta", t, "",
                          est.miller_madow - float(oracle_H[t - 1])))
-    summary_path = args.summary or args.out + ".summary.csv"
-    try:
-        _write_csv(summary_path, ("metric", "arg1", "arg2", "value"), rows)
-    except OSError as exc:
-        print(f"error: cannot write summary to {summary_path}: {exc}", file=sys.stderr)
-        return 1
+    _write_csv(args.summary or args.out + ".summary.csv",
+               ("metric", "arg1", "arg2", "value"), rows)
     return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    results = validation.run_checks(level=args.level, inject_fault=args.inject_fault)
+    results = validation.run_checks(level=args.level)
     failed = 0
     for res in results:
         tag = "PASS" if res.passed else "FAIL"
@@ -300,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="run the self-check suites")
     val.add_argument("--level", choices=("fast", "full"), default="fast")
-    val.add_argument("--inject-fault", choices=validation.FAULTS, default=None,
-                     help=argparse.SUPPRESS)
     val.set_defaults(func=cmd_validate)
 
     orc = sub.add_parser("oracle", help="exact single-edge block entropies")
@@ -322,7 +312,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, simulator.SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # unreadable --config, unwritable --out
+    except OSError as exc:  # unreadable --config, unwritable --out or --summary
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

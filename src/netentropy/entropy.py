@@ -26,14 +26,6 @@ from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_piecewise
 MAX_ORACLE_STEPS = 12
 
 
-def binary_entropy_terms(probabilities) -> float:
-    """-sum(q * log2 q) over the given probabilities, with 0 log 0 = 0."""
-    q = np.atleast_1d(np.asarray(probabilities, dtype=float))
-    if np.any(q < 0.0) or np.any(q > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    return float(np.sum(_xlog2(q)))
-
-
 def _xlog2(q: np.ndarray) -> np.ndarray:
     out = np.zeros_like(q)
     pos = q > 0.0

@@ -23,10 +23,14 @@ _TRI_HEIGHT = 0.5 * _SQRT3 * _TRI_SIDE
 _TRI_VERTICES = np.array(
     [[0.0, 0.0], [_TRI_SIDE, 0.0], [0.5 * _TRI_SIDE, _TRI_HEIGHT]]
 )
+# membership slack at the boundary, in coordinate units
+_CONTAINS_TOL = 1e-12
+# grid points of the numeric CDF
+_CDF_GRID = 20001
 
 
 class DomainError(ValueError):
-    """Raised for out-of-support arguments or unknown domain names."""
+    """Raised for unknown domain names."""
 
 
 @dataclass(frozen=True)
@@ -46,16 +50,13 @@ class Domain:
     chord: Tuple[Tuple[float, float], Tuple[float, float]]
     _pdf: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     _points: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
-    _contains: Callable[..., np.ndarray] = field(repr=False)
+    _contains: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
 
-    @property
-    def area(self) -> float:
-        return 1.0
-
-    def contains(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """Membership test for an (..., 2) array of coordinates."""
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Membership test for an (..., 2) array of coordinates, to within
+        _CONTAINS_TOL of the boundary."""
         pts = np.asarray(points, dtype=float)
-        return self._contains(pts[..., 0], pts[..., 1], tol)
+        return self._contains(pts[..., 0], pts[..., 1])
 
     def points_from_uniforms(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Map two independent U(0,1) arrays to uniform points, shape (len, 2)."""
@@ -88,22 +89,23 @@ def _triangle_points(u, v):
     return _TRI_VERTICES[0] + np.outer(u, e1) + np.outer(v, e2)
 
 
-def _square_contains(x, y, tol):
+def _square_contains(x, y):
+    tol = _CONTAINS_TOL
     return (x >= -tol) & (x <= 1 + tol) & (y >= -tol) & (y <= 1 + tol)
 
 
-def _disk_contains(x, y, tol):
-    return x ** 2 + y ** 2 <= _DISK_RADIUS ** 2 + tol
+def _disk_contains(x, y):
+    return x ** 2 + y ** 2 <= _DISK_RADIUS ** 2 + _CONTAINS_TOL
 
 
-def _triangle_contains(x, y, tol):
+def _triangle_contains(x, y):
     # half-plane tests against the three triangle edges (CCW order)
     inside = np.ones(np.shape(x), dtype=bool)
     for k in range(3):
         a = _TRI_VERTICES[k]
         b = _TRI_VERTICES[(k + 1) % 3]
         cross = (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
-        inside &= cross >= -tol
+        inside &= cross >= -_CONTAINS_TOL
     return inside
 
 
@@ -113,27 +115,17 @@ def domain_from_name(name: str) -> Domain:
     return _DOMAINS[name]
 
 
-def sample_point(domain: Domain, rng: np.random.Generator) -> np.ndarray:
-    """One uniform point in the domain, shape (2,)."""
-    return domain.sample_points(rng, 1)[0]
-
-
 def sample_distance(domain: Domain, rng: np.random.Generator, size=None):
     """Distance between two independent uniform points.
 
     With ``size=None`` a single float is returned, otherwise an array of that
-    length.  The histogram of samples converges to ``distance_pdf``.
+    length.  The histogram of samples converges to the domain's f_R.
     """
     n = 1 if size is None else int(size)
     a = domain.sample_points(rng, n)
     b = domain.sample_points(rng, n)
     d = np.linalg.norm(a - b, axis=1)
     return float(d[0]) if size is None else d
-
-
-def distance_pdf(domain: Domain, r) -> np.ndarray:
-    """Pair-distance density f_R(r); raises DomainError outside [0, D]."""
-    return domain.distance_density().pdf(r, strict=True)
 
 
 def _square_pdf(r: np.ndarray) -> np.ndarray:
@@ -212,30 +204,16 @@ class DistanceDensity:
     def breakpoints(self) -> Tuple[float, ...]:
         return (0.0, *self.domain.kinks, self.domain.diameter)
 
-    @property
-    def support(self) -> Tuple[float, float]:
-        return (0.0, self.domain.diameter)
-
-    def pdf(self, r, strict: bool = False) -> np.ndarray:
-        """Evaluate f_R at scalar or array ``r`` (zero outside the support).
-
-        ``strict=True`` raises :class:`DomainError` for out-of-support input.
-        """
-        arr = np.atleast_1d(np.asarray(r, dtype=float))
-        if strict and (np.any(arr < 0.0) or np.any(arr > self.domain.diameter + 1e-12)):
-            raise DomainError(
-                f"distance outside [0, {self.domain.diameter!r}] for {self.domain.name}"
-            )
-        out = self.domain._pdf(arr)
+    def pdf(self, r) -> np.ndarray:
+        """Evaluate f_R at scalar or array ``r`` (zero outside the support)."""
+        out = self.domain._pdf(np.atleast_1d(np.asarray(r, dtype=float)))
         return out if np.ndim(r) else float(out[0])
 
-    def __call__(self, r):
-        return self.pdf(r)
-
-    def cdf(self, r, n_grid: int = 20001) -> np.ndarray:
-        """Numeric CDF by composite Simpson integration of the pdf."""
+    def cdf(self, r) -> np.ndarray:
+        """Numeric CDF by composite Simpson integration of the pdf on
+        _CDF_GRID points."""
         D = self.domain.diameter
-        grid = np.linspace(0.0, D, n_grid)
+        grid = np.linspace(0.0, D, _CDF_GRID)
         vals = self.pdf(grid)
         mids = self.pdf(0.5 * (grid[1:] + grid[:-1]))
         step = grid[1] - grid[0]

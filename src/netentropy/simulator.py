@@ -40,6 +40,8 @@ _PHILOX_ROUNDS = 10
 # long as one stream of t draws fits
 _CHUNK_BLOCKS = 8192
 INITIAL_STATES = ("stationary", "all_off", "all_on")
+# stationarity_check flags a step whose density drifts by more standard errors
+STATIONARITY_SIGMA = 4.0
 
 
 class SimulationError(ValueError):
@@ -398,10 +400,9 @@ class StationarityReport:
     passed: bool
 
 
-def stationarity_check(ensemble: TrajectoryEnsemble,
-                       sigma_limit: float = 4.0) -> StationarityReport:
+def stationarity_check(ensemble: TrajectoryEnsemble) -> StationarityReport:
     """Flag any step whose pooled edge density drifts from step 0 by more
-    than ``sigma_limit`` standard errors (paired across trials)."""
+    than STATIONARITY_SIGMA standard errors (paired across trials)."""
     if ensemble.config.t_steps < 2:
         raise SimulationError("stationarity check needs t_steps >= 2")
     per_trial = ensemble.states.mean(axis=2)  # (trials, t_steps)
@@ -417,7 +418,7 @@ def stationarity_check(ensemble: TrajectoryEnsemble,
         else:
             se = 0.0
         z[step] = 0.0 if mean == 0.0 else (np.inf if se == 0.0 else mean / se)
-    flagged = tuple(int(s) for s in np.nonzero(np.abs(z) > sigma_limit)[0])
+    flagged = tuple(int(s) for s in np.nonzero(np.abs(z) > STATIONARITY_SIGMA)[0])
     return StationarityReport(densities=densities, deviations_sigma=z,
                               flagged_steps=flagged, passed=not flagged)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from netentropy import channel
 from netentropy.channel import ChannelParams
 
 # the operating point used throughout the numerical experiments
@@ -15,3 +16,15 @@ def paper_params():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250807)
+
+
+@pytest.fixture
+def broken_detailed_balance(monkeypatch):
+    """Shift every off->on probability by 1e-6, off detailed balance."""
+    real = channel.transition_probabilities
+
+    def shifted(r, params):
+        p01, p10 = real(r, params)
+        return p01 + 1e-6, p10
+
+    monkeypatch.setattr(channel, "transition_probabilities", shifted)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from netentropy import cli
+from netentropy import cli, validation
 
 
 # sha256 of the CSV each command writes, recorded with one integrand call
@@ -152,9 +152,9 @@ class TestConfigFile:
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("this line has no equals sign\n")
-        with pytest.raises(SystemExit):
-            cli.main(["bounds-sweep", "--config", str(cfg)])
+        cfg.write_text("grid = 0.7\nthis line has no equals sign\n")
+        assert cli.main(["bounds-sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: expected 'key = value'\n"
 
     def test_simulate_reads_eta_from_config(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
@@ -204,14 +204,6 @@ class TestSimulate:
         assert "transition_frequency" not in metrics  # needs two steps
         assert metrics.count("mean_edge_density") == 1
 
-    def test_unwritable_path(self, tmp_path, capsys):
-        code = cli.main(["simulate", "--nodes", "3", "--steps", "2",
-                         "--trials", "2", "--seed", "1",
-                         "--out", str(tmp_path / "missing" / "snap.csv")])
-        assert code == 1
-        assert "cannot write snapshots" in capsys.readouterr().err
-
-
 class TestFileErrors:
     @pytest.mark.parametrize("command", ["bounds-sweep", "simulate", "oracle"])
     def test_missing_config(self, command, tmp_path, capsys):
@@ -222,13 +214,19 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "missing.cfg" in err
 
+    # each argv ends in the flag that gets a path in a missing directory
     @pytest.mark.parametrize("argv", [
-        ["bounds-sweep", "--grid", "0.7", "--eta", "2", "--domain", "square"],
-        ["oracle", "--t-max", "2"],
+        ["bounds-sweep", "--grid", "0.7", "--eta", "2", "--domain", "square", "--out"],
+        ["oracle", "--t-max", "2", "--out"],
+        ["simulate", "--nodes", "3", "--steps", "2", "--trials", "2", "--seed", "1",
+         "--out"],
+        ["simulate", "--nodes", "3", "--steps", "2", "--trials", "2", "--seed", "1",
+         "--out", "snap.csv", "--summary"],
     ])
-    def test_unwritable_out(self, argv, tmp_path, capsys):
+    def test_unwritable_out(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "missing" / "x.csv"
-        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert cli.main(argv + [str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "x.csv" in err
 
@@ -264,15 +262,21 @@ class TestValidate:
         code, out = run(capsys, "validate", "--level", "fast")
         elapsed = time.perf_counter() - t0
         assert code == 0
-        assert "[FAIL]" not in out
-        assert out.count("[PASS]") >= 15
+        # one line per registered check, in registry order, then the footer
+        lines = out.splitlines()
+        assert len(lines) == len(validation.CHECKS) + 1
+        for line, check in zip(lines, validation.CHECKS):
+            assert line.startswith(f"[PASS] {check.name}: ")
+        assert lines[-1] == "18/18 checks passed (fast)"
         assert elapsed < 60.0
 
-    def test_fault_injection_detected(self, capsys):
-        code, out = run(capsys, "validate", "--level", "fast",
-                        "--inject-fault", "detailed-balance")
+    def test_fault_injection_detected(self, capsys, monkeypatch, broken_detailed_balance):
+        monkeypatch.setattr(validation, "CHECKS", [validation.check_detailed_balance])
+        code, out = run(capsys, "validate", "--level", "fast")
         assert code == 1
-        assert "[FAIL] channel/detailed-balance" in out
+        lines = out.splitlines()
+        assert lines[0].startswith("[FAIL] channel/detailed-balance: ")
+        assert lines[1:] == ["0/1 checks passed (fast)"]
 
 
 class TestOracle:
