@@ -67,6 +67,12 @@ def test_sampling_reproducible():
 
 
 @pytest.mark.parametrize("name", geometry.DOMAIN_NAMES)
+def test_density_normalized(name):
+    dens = domain_from_name(name).distance_density()
+    assert abs(integrate_piecewise(dens.pdf, dens.breakpoints, TIGHT) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("name", geometry.DOMAIN_NAMES)
 def test_density_zero_at_support_ends(name):
     # exactly zero at r = 0; geometry/density-endpoints of validate bounds
     # both ends by 1e-9
@@ -114,6 +120,22 @@ def test_sample_distance_ks(name, rng):
     i = np.arange(1, n + 1)
     ks = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
     assert ks < 1.6276 / np.sqrt(n)
+
+
+@pytest.mark.parametrize("name", geometry.DOMAIN_NAMES)
+def test_histogram_matches_density(name, rng):
+    # 1e6 samples, 200 bins, chi-square p-value above 0.01
+    from scipy.stats import chi2
+    dom = domain_from_name(name)
+    n, bins = 1_000_000, 200
+    d = geometry.sample_distance(dom, rng, size=n)
+    edges = np.linspace(0.0, dom.diameter, bins + 1)
+    observed, _ = np.histogram(d, bins=edges)
+    expected = np.diff(dom.distance_density().cdf(edges)) * n
+    keep = expected > 5
+    stat = np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep])
+    pval = chi2.sf(stat, np.count_nonzero(keep) - 1)
+    assert pval > 0.01
 
 
 def test_triangle_sample_mean(rng):

@@ -11,6 +11,14 @@ def test_check(check):
     assert result.passed, result.detail
 
 
+def test_fast_level_all_pass():
+    results = validation.run_checks(level="fast")
+    assert len(results) == len(validation.CHECKS)
+    failing = [r.name for r in results if not r.passed]
+    assert failing == []
+    assert all(r.detail for r in results)
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         validation.run_checks(level="medium")
