@@ -120,6 +120,25 @@ class TestBoundsSweep:
         code, _ = run(capsys, "bounds-sweep", "--grid", "0.7", "--nodes", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--grid", "0.7", "--domain", ","],
+        ["--grid", "0.7", "--eta", ""],
+        ["--domain", ","],
+    ])
+    def test_empty_list_rejected(self, argv, capsys):
+        assert cli.main(["bounds-sweep", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: domain and eta lists must be non-empty\n"
+
+    def test_empty_eta_in_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("grid = 0.7\neta =\n")
+        assert cli.main(["bounds-sweep", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: domain and eta lists must be non-empty\n"
+
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN_CSV))
 def test_csv_digest(argv, tmp_path):
@@ -166,6 +185,60 @@ class TestConfigFile:
         _, rows = rows_of(summary)
         oracle = [float(r["value"]) for r in rows if r["metric"] == "block_entropy_oracle"]
         assert oracle[0] == pytest.approx(oracle[-1], abs=1e-9)
+
+
+    # each case names the command, its config text and the flags that say the same
+    @pytest.mark.parametrize("command, config, flags", [
+        ("bounds-sweep",
+         "variable = nu\ngrid = 1,10,100\neta = 2,3\ndomain = square,disk\n"
+         "nodes = 10\nr0 = 0.5\nsymbol-rate = 2e7\n",
+         ["--variable", "nu", "--grid", "1,10,100", "--eta", "2,3", "--domain",
+          "square,disk", "--nodes", "10", "--r0", "0.5", "--symbol-rate", "2e7"]),
+        ("simulate",
+         "domain = disk\nnodes = 4\nsteps = 5\ntrials = 6\nseed = 9\n"
+         "r0 = 0.6\neta = 3\nnu = 200\nsymbol_rate = 1e7\n",
+         ["--domain", "disk", "--nodes", "4", "--steps", "5", "--trials", "6",
+          "--seed", "9", "--r0", "0.6", "--eta", "3", "--nu", "200",
+          "--symbol-rate", "1e7"]),
+        ("oracle", "t-max = 6\ndomain = triangle\neta = 3\n",
+         ["--t-max", "6", "--domain", "triangle", "--eta", "3"]),
+        ("oracle", "t_max = 5\nr0 = 0.3\nnu = 50\n",
+         ["--t-max", "5", "--r0", "0.3", "--nu", "50"]),
+    ])
+    def test_config_matches_flags(self, command, config, flags, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        for tag, argv in (("cfg", ["--config", str(cfg)]), ("flags", flags)):
+            assert cli.main([command, *argv, "--out", str(tmp_path / f"{tag}.csv")]) == 0
+        assert (tmp_path / "cfg.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+        if command == "simulate":
+            assert ((tmp_path / "cfg.csv.summary.csv").read_bytes()
+                    == (tmp_path / "flags.csv.summary.csv").read_bytes())
+
+    # grdi is a typo of grid, steps belongs to simulate, and out is a path,
+    # which only a flag may give
+    @pytest.mark.parametrize("command, key", [
+        ("bounds-sweep", "grdi"), ("bounds-sweep", "steps"), ("oracle", "out"),
+    ])
+    def test_unknown_key_rejected(self, command, key, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {out}\n" if key == "out" else f"{key} = 0.7\n")
+        argv = [command, "--config", str(cfg)]
+        if key != "out":
+            argv += ["--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and key in err
+        assert not out.exists()
+
+    def test_bad_value_fails_like_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("grid = 0.7\nnodes = abc\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds-sweep", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "argument --nodes: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 class TestSimulate:
