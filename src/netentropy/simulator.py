@@ -31,6 +31,8 @@ _U64 = np.uint64
 _POSITION_LANE = np.array([1 << 62], dtype=_U64)
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+_LOW32 = _U64(_MASK32)
+_SHIFT32 = _U64(32)
 # Philox4x64 multipliers and Weyl key increments (Salmon et al., SC'11)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -39,6 +41,9 @@ _PHILOX_ROUNDS = 10
 # set (about a hundred bytes per block) whatever n, t and the trial count, as
 # long as one stream of t draws fits
 _CHUNK_BLOCKS = 8192
+# export_snapshots passes fh.write at most this many characters at a time, or
+# one (trial, step) block of lines where that is longer
+_WRITE_BYTES = 256 * 1024
 INITIAL_STATES = ("stationary", "all_off", "all_on")
 # stationarity_check flags a step whose density drifts by more standard errors
 STATIONARITY_SIGMA = 4.0
@@ -78,15 +83,26 @@ def _mulhilo(m: int, x: np.ndarray):
     """High and low 64-bit words of the 128-bit product m * x.
 
     numpy has no 128-bit integers, so the high word is assembled from the
-    four 32 x 32 -> 64-bit partial products of the operands' halves.
+    four 32 x 32 -> 64-bit partial products of the operands' halves:
+    u = m_hi*x_lo + (m_lo*x_lo >> 32) and v = m_lo*x_hi + (u & M32) stay
+    below 2**64, and hi = m_hi*x_hi + (u >> 32) + (v >> 32).  The
+    temporaries are updated in place.
     """
     m_hi, m_lo = _U64(m >> 32), _U64(m & _MASK32)
-    x_hi, x_lo = x >> _U64(32), x & _U64(_MASK32)
-    hl = m_hi * x_lo
-    lh = m_lo * x_hi
-    # each term is below 2**32, so the sum cannot wrap
-    carry = ((m_lo * x_lo) >> _U64(32)) + (hl & _U64(_MASK32)) + (lh & _U64(_MASK32))
-    hi = m_hi * x_hi + (hl >> _U64(32)) + (lh >> _U64(32)) + (carry >> _U64(32))
+    x_lo = x & _LOW32
+    x_hi = x >> _SHIFT32
+    u = x_lo * m_lo
+    u >>= _SHIFT32
+    x_lo *= m_hi
+    u += x_lo
+    v = np.bitwise_and(u, _LOW32, out=x_lo)
+    v += x_hi * m_lo
+    v >>= _SHIFT32
+    u >>= _SHIFT32
+    hi = x_hi
+    hi *= m_hi
+    hi += u
+    hi += v
     return hi, _U64(m) * x
 
 
@@ -142,17 +158,27 @@ def _step_chains(seed: int, trials: slice, edges: slice, t_steps: int,
     Edge e of trial i draws stream (i, e); its first uniform decides a
     stationary start, the one at step s > 0 whether the chain flips from
     step s - 1.  The probabilities broadcast against (trials, edges).
+
+    An off chain turns on where u < p01 and an on chain stays on where
+    u >= p10, so each step is ``(previous & differs) ^ turn_on`` with
+    ``differs`` where those two tests disagree.
     """
-    u = _stream_uniforms(seed, _indices(trials), _indices(edges), t_steps)
+    # step-major, so that every step reads and writes contiguous slices
+    u = np.ascontiguousarray(
+        _stream_uniforms(seed, _indices(trials), _indices(edges), t_steps)
+        .transpose(1, 0, 2))
+    turn_on = u < p01
+    differs = u >= p10
+    differs ^= turn_on
     st = np.empty(u.shape, dtype=bool)
     if initial_state == "stationary":
-        st[:, 0] = u[:, 0] < p_on
+        np.less(u[0], p_on, out=st[0])
     else:
-        st[:, 0] = initial_state == "all_on"
+        st[0] = initial_state == "all_on"
     for step in range(1, t_steps):
-        flip = np.where(st[:, step - 1], p10, p01)
-        st[:, step] = st[:, step - 1] ^ (u[:, step] < flip)
-    return st
+        np.bitwise_and(st[step - 1], differs[step], out=st[step])
+        st[step] ^= turn_on[step]
+    return st.transpose(1, 0, 2)
 
 
 def edge_pairs(n: int) -> np.ndarray:
@@ -423,14 +449,89 @@ def stationarity_check(ensemble: TrajectoryEnsemble) -> StationarityReport:
                               flagged_steps=flagged, passed=not flagged)
 
 
+def _digit_runs(count: int):
+    """(start, stop, width): the runs of range(count) with width-digit numbers."""
+    start, width = 0, 1
+    while start < count:
+        stop = min(10 ** width, count)
+        yield start, stop, width
+        start, width = stop, width + 1
+
+
+def _row_runs(trials: int, t_steps: int):
+    """(start, stop, (trial digits, step digits)) of each run of consecutive
+    rows whose numbers have equal digit counts; row trial * t_steps + step
+    is (trial, step)."""
+    step_runs = list(_digit_runs(t_steps))
+    for first, stop, trial_width in _digit_runs(trials):
+        if len(step_runs) == 1:
+            # every step has one digit: the run spans whole trials
+            yield first * t_steps, stop * t_steps, (trial_width, 1)
+            continue
+        for trial in range(first, stop):
+            for step, step_stop, step_width in step_runs:
+                yield (trial * t_steps + step, trial * t_steps + step_stop,
+                       (trial_width, step_width))
+
+
+def _digits(numbers: np.ndarray, width: int) -> np.ndarray:
+    """(len(numbers), width, 1) ASCII digits of width-digit numbers."""
+    digits = np.empty((len(numbers), width, 1), dtype=np.uint8)
+    for k in range(width - 1, -1, -1):
+        numbers, digits[:, k, 0] = np.divmod(numbers, 10)
+    digits += ord("0")
+    return digits
+
+
+def _block_template(tails, trial_width: int, step_width: int):
+    """Lines of one (trial, step) block whose numbers have these digit counts.
+
+    Returns the block's bytes with '0' in every trial digit, step digit and
+    state, and the columns of those: (trial_width, E), (step_width, E) and
+    (E,) for the E edges.
+    """
+    lead = b"0" * trial_width + b"," + b"0" * step_width + b","
+    block = np.frombuffer(b"".join(lead + tail + b"0\n" for tail in tails),
+                          dtype=np.uint8)
+    widths = len(lead) + np.array([len(tail) for tail in tails]) + 2
+    starts = np.cumsum(widths) - widths
+    return (block, starts + np.arange(trial_width)[:, None],
+            starts + trial_width + 1 + np.arange(step_width)[:, None],
+            starts + widths - 2)
+
+
 def export_snapshots(ensemble: TrajectoryEnsemble, fh) -> None:
-    """Write the ensemble as 'trial,step,edge_i,edge_j,state' CSV lines."""
+    """Write the ensemble as 'trial,step,edge_i,edge_j,state' CSV lines.
+
+    The lines of one (trial, step) block form one unit.  After the header,
+    each ``fh.write`` passes at most ``_WRITE_BYTES`` characters, or one
+    block where a block is longer, so the memory the export adds to the
+    ensemble's is bounded whatever the trial and step counts.
+    """
     fh.write("trial,step,edge_i,edge_j,state\n")
-    # each line ends in "i,j,0" or "i,j,1" of its edge; a (trial, step) block
-    # joins the chosen endings behind the prefix its lines share
-    off, on = (np.array([f"{i},{j},{s}\n" for i, j in ensemble.pairs], dtype=object)
-               for s in (0, 1))
-    for trial, states in enumerate(ensemble.states):
-        prefixes = [f"{trial},{step}," for step in range(len(states))]
-        blocks = np.where(states, on, off).tolist()
-        fh.write("".join(p + p.join(b) for p, b in zip(prefixes, blocks)))
+    trials, t_steps, n_edges = ensemble.states.shape
+    states = ensemble.states.reshape(-1, n_edges).view(np.uint8)
+    tails = [b"%d,%d," % (i, j) for i, j in ensemble.pairs]
+    # the template of each digit count pair is made once; a write refills
+    # only the digit and state columns of a buffer of whole blocks, so the
+    # commas and edge ids stay in place
+    templates = {}
+    buf_widths = None
+    for first, stop, widths in _row_runs(trials, t_steps):
+        if widths not in templates:
+            templates[widths] = _block_template(tails, *widths)
+        block, trial_cols, step_cols, state_cols = templates[widths]
+        if widths != buf_widths:
+            buf = None  # free the previous buffer before making the next
+            buf = np.empty((max(1, _WRITE_BYTES // block.size), block.size),
+                           dtype=np.uint8)
+            buf[:] = block
+            buf_widths = widths
+        for start in range(first, stop, len(buf)):
+            end = min(start + len(buf), stop)
+            rows = np.arange(start, end)
+            out = buf[:end - start]
+            out[:, trial_cols] = _digits(rows // t_steps, widths[0])
+            out[:, step_cols] = _digits(rows % t_steps, widths[1])
+            out[:, state_cols] = states[start:end] + ord("0")
+            fh.write(str(out, "ascii"))

@@ -28,6 +28,16 @@ GOLDEN_CSV = {
     ("oracle", "--t-max", "12", "--r0", "0.3", "--symbol-rate", "1000"):
         "baed57950ea5f55763fd1795f0c46b7995d889c4bd114abf9dc29155bd1c929d",
 }
+# sha256 of the snapshot and summary CSVs of one simulate run, recorded with
+# the string-joining export the byte-template one replaced (numpy 2.4,
+# x86-64).  Its trial and step numbers cross every digit-count change:
+# 9 -> 10 trials, 9 -> 10 and 99 -> 100 steps.
+GOLDEN_SIMULATE_ARGV = ("simulate", "--nodes", "6", "--steps", "101",
+                        "--trials", "12", "--seed", "7")
+GOLDEN_SIMULATE_CSV = {
+    "snapshots": "01e76edb6beddcac2fdd6f2e09cb5065acd2136f749fa395018ffa42bdea21b3",
+    "summary": "355ae1215e0b616ebbf4c70c9208663ca3ee11dcd66c16adbeb39be34fc7b197",
+}
 
 
 def run(capsys, *argv):
@@ -145,6 +155,15 @@ def test_csv_digest(argv, tmp_path):
     out = tmp_path / "out.csv"
     assert cli.main(list(argv) + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV[argv]
+
+
+def test_simulate_csv_digests(tmp_path):
+    paths = {"snapshots": tmp_path / "snap.csv", "summary": tmp_path / "sum.csv"}
+    assert cli.main(list(GOLDEN_SIMULATE_ARGV) + ["--out", str(paths["snapshots"]),
+                                                  "--summary", str(paths["summary"])]) == 0
+    got = {key: hashlib.sha256(path.read_bytes()).hexdigest()
+           for key, path in paths.items()}
+    assert got == GOLDEN_SIMULATE_CSV
 
 
 class TestConfigFile:

@@ -1,5 +1,6 @@
 """Monte Carlo ensemble generation and empirical estimators."""
 
+import collections
 import hashlib
 import io
 import math
@@ -128,6 +129,68 @@ class TestPhiloxKernel:
                 raw = bitgen.random_raw(count)
                 expected = (raw >> np.uint64(11)) * (2.0 ** -53)
                 assert np.array_equal(u[i, :, j], expected), (trial, lane)
+
+    @pytest.mark.parametrize("m", simulator._PHILOX_M)
+    def test_mulhilo_exact(self, m):
+        # carry edges of the 32-bit halves, then seeded random words
+        edges = np.array([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1], dtype=np.uint64)
+        rng = np.random.default_rng(64)
+        words = np.concatenate([edges, rng.integers(0, 2 ** 64, size=2000,
+                                                    dtype=np.uint64)])
+        operand = words.copy()
+        hi, lo = simulator._mulhilo(m, operand)
+        assert np.array_equal(operand, words)  # only temporaries change in place
+        for x, h, l in zip(words.tolist(), hi.tolist(), lo.tolist()):
+            assert (h, l) == ((m * x) >> 64, (m * x) & (2 ** 64 - 1)), x
+
+
+def where_step_chains(seed, trials, edges, t_steps, p_on, p01, p10, initial_state):
+    """The np.where recurrence that _step_chains must reproduce bit for bit."""
+    u = simulator._stream_uniforms(seed, simulator._indices(trials),
+                                   simulator._indices(edges), t_steps)
+    st = np.empty(u.shape, dtype=bool)
+    if initial_state == "stationary":
+        st[:, 0] = u[:, 0] < p_on
+    else:
+        st[:, 0] = initial_state == "all_on"
+    for step in range(1, t_steps):
+        flip = np.where(st[:, step - 1], p10, p01)
+        st[:, step] = st[:, step - 1] ^ (u[:, step] < flip)
+    return st
+
+
+def step_probabilities(case, shape):
+    """(p_on, p01, p10) of one _step_chains equivalence case."""
+    rng = np.random.default_rng(11)
+    p01, p10 = rng.uniform(0.0, 0.4, size=(2,) + shape)
+    p_on = p01 / (p01 + p10)
+    if case == "scalar":
+        return 0.6, 0.3, 0.2
+    if case == "clamp cap":
+        # p01 at the cap on every other edge, p10 small: chains turn on and stay
+        p01[:, ::2] = 1.0 - channel.CLAMP_EPS
+        return p_on, p01, p10 / 10
+    if case == "frozen":
+        return p_on, 0.0, 0.0
+    return p_on, p01, p10
+
+
+class TestStepChains:
+    @pytest.mark.parametrize("initial_state", simulator.INITIAL_STATES)
+    @pytest.mark.parametrize("case", ["array", "scalar", "clamp cap", "frozen"])
+    def test_matches_where_recurrence(self, case, initial_state):
+        trials, edges, t_steps = slice(3, 8), slice(2, 9), 40
+        probs = step_probabilities(case, (5, 7))
+        got = simulator._step_chains(2 ** 64 - 3, trials, edges, t_steps, *probs,
+                                     initial_state)
+        expected = where_step_chains(2 ** 64 - 3, trials, edges, t_steps, *probs,
+                                     initial_state)
+        assert got.shape == (5, t_steps, 7)
+        assert np.array_equal(got, expected)
+        if case == "frozen":
+            assert np.all(got == got[:, :1])
+        else:
+            assert 0 < got.mean() < 1
 
 
 class TestGolden:
@@ -382,22 +445,58 @@ def per_line_export(ensemble, fh):
                 fh.write(f"{trial},{step},{i},{j},{int(on[e])}\n")
 
 
+class RecordingWriter(io.StringIO):
+    """Text handle that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return super().write(text)
+
+
+# (n, t_steps, trials, seed, domain, initial_state, write cap or None)
+EXPORT_CASES = {
+    # two-digit trial, step and node ids
+    "two-digit ids": (12, 13, 11, 2024, geometry.TRIANGLE, "stationary", None),
+    "all on": (5, 11, 12, 2 ** 64 - 1, SQ, "all_on", None),
+    "trials 9 to 10": (3, 4, 12, 5, SQ, "stationary", None),
+    "steps 9 to 10 to 100": (4, 102, 11, 6, geometry.DISK, "stationary", None),
+    "two nodes": (2, 7, 13, 7, SQ, "all_off", None),
+    "one step": (4, 1, 14, 8, SQ, "stationary", None),
+    "cap below a block": (4, 102, 11, 6, geometry.DISK, "stationary", 1),
+    "cap of a few blocks": (4, 102, 11, 6, geometry.DISK, "stationary", 200),
+}
+
+
 class TestExport:
-    def test_matches_per_line_formatter(self):
-        # two-digit trial, step and node ids
-        for cfg, state in (
-                (SimConfig(n=12, t_steps=13, trials=11, seed=2024,
-                           domain=geometry.TRIANGLE, params=FAST), "stationary"),
-                (SimConfig(n=5, t_steps=11, trials=12, seed=2 ** 64 - 1,
-                           domain=SQ, params=FAST), "all_on")):
-            ens = simulate(cfg, state)
-            assert 0 < ens.states.mean() < 1
-            got, expected = io.StringIO(), io.StringIO()
+    def test_matches_per_line_formatter(self, monkeypatch):
+        default_cap = simulator._WRITE_BYTES
+        for case, (n, t_steps, trials, seed, domain, state, cap) in EXPORT_CASES.items():
+            monkeypatch.setattr(simulator, "_WRITE_BYTES", cap or default_cap)
+            ens = simulate(SimConfig(n=n, t_steps=t_steps, trials=trials, seed=seed,
+                                     domain=domain, params=FAST), state)
+            assert 0 < ens.states.mean() < 1, case
+            got, expected = RecordingWriter(), io.StringIO()
             export_snapshots(ens, got)
             per_line_export(ens, expected)
             # lists, not strings: pytest reports the first differing line
             # instead of diffing the whole text
-            assert got.getvalue().splitlines(True) == expected.getvalue().splitlines(True)
+            lines = expected.getvalue().splitlines(True)
+            assert got.getvalue().splitlines(True) == lines, case
+            # memory contract: after the header, no write is longer than the
+            # cap or one (trial, step) block, whichever is larger
+            blocks = collections.Counter()
+            for line in lines[1:]:
+                trial, step, _ = line.split(",", 2)
+                blocks[trial, step] += len(line)
+            assert got.lengths[0] == len(lines[0]), case
+            assert max(got.lengths[1:]) <= max(cap or default_cap,
+                                               max(blocks.values())), case
+            if cap == 1:
+                assert len(got.lengths) == 1 + trials * t_steps, case
 
     def test_format_and_determinism(self, paper_params):
         cfg = small_config(paper_params, n=3, t_steps=2, trials=2)
