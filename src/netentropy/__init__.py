@@ -31,7 +31,6 @@ from .geometry import (
     DistanceDensity,
     Domain,
     domain_from_name,
-    sample_distance,
 )
 from .quadrature import QuadratureError, QuadratureSpec, integrate_piecewise
 from .simulator import (
@@ -64,7 +63,6 @@ __all__ = [
     "DistanceDensity",
     "Domain",
     "domain_from_name",
-    "sample_distance",
     "QuadratureError",
     "QuadratureSpec",
     "integrate_piecewise",

@@ -95,7 +95,7 @@ clamp_diagnostics = ClampDiagnostics()
 
 def _check_r(r) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise ChannelError("pair distance must be >= 0")
     return arr
 

@@ -1,4 +1,4 @@
-"""Unit-area bounding domains, uniform point sampling and pair-distance densities.
+"""Unit-area bounding domains, uniform point maps and pair-distance densities.
 
 Three convex domains of area exactly 1 are supported: the unit square, the
 disk of radius 1/sqrt(pi) and the equilateral triangle of side 2/3**(1/4).
@@ -62,10 +62,6 @@ class Domain:
         """Map two independent U(0,1) arrays to uniform points, shape (len, 2)."""
         return self._points(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
-    def sample_points(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` independent uniform points, shape (size, 2)."""
-        return self.points_from_uniforms(rng.random(size), rng.random(size))
-
     def distance_density(self) -> "DistanceDensity":
         return DistanceDensity(self)
 
@@ -113,19 +109,6 @@ def domain_from_name(name: str) -> Domain:
     if name not in DOMAIN_NAMES:
         raise DomainError(f"unknown domain {name!r}; expected one of {DOMAIN_NAMES}")
     return _DOMAINS[name]
-
-
-def sample_distance(domain: Domain, rng: np.random.Generator, size=None):
-    """Distance between two independent uniform points.
-
-    With ``size=None`` a single float is returned, otherwise an array of that
-    length.  The histogram of samples converges to the domain's f_R.
-    """
-    n = 1 if size is None else int(size)
-    a = domain.sample_points(rng, n)
-    b = domain.sample_points(rng, n)
-    d = np.linalg.norm(a - b, axis=1)
-    return float(d[0]) if size is None else d
 
 
 def _square_pdf(r: np.ndarray) -> np.ndarray:

@@ -339,14 +339,15 @@ def empirical_transition_frequencies(ensemble: TrajectoryEnsemble,
         if visits[a] == 0:
             undefined.append(a)
             continue
+        if distance_weighted:
+            # edges whose occupancy of a underflowed to (sub)normal zero
+            # cannot realize state a; drop them instead of forming 0 * inf
+            occ = occupancy[a]
+            floor = np.finfo(float).tiny
+            w = np.where(occ >= floor, 1.0 / np.maximum(occ, floor), 0.0)
         for b in (0, 1):
             hits = mask_a & (cur == bool(b))
             if distance_weighted:
-                # edges whose occupancy of a underflowed to (sub)normal zero
-                # cannot realize state a; drop them instead of forming 0 * inf
-                occ = occupancy[a]
-                floor = np.finfo(float).tiny
-                w = np.where(occ >= floor, 1.0 / np.maximum(occ, floor), 0.0)
                 # per-trial mean of weighted indicators; opportunities fixed
                 s = np.einsum("ijk,ik->i", hits, w) / n_opp
                 matrix[a, b] = float(np.mean(s))

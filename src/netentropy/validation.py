@@ -72,9 +72,10 @@ def check_distance_histogram(level: str):
     n = 1_000_000 if level == "full" else 200_000
     bins = 200 if level == "full" else 50
     worst_p = 1.0
-    rng = np.random.default_rng(20240801)
     for dom in geometry.DOMAINS:
-        d = geometry.sample_distance(dom, rng, size=n)
+        cfg = simulator.SimConfig(n=2, t_steps=1, trials=n, seed=20240801,
+                                  domain=dom, params=PAPER_PARAMS)
+        d = simulator.simulate(cfg).distances[:, 0]
         edges = np.linspace(0.0, dom.diameter, bins + 1)
         observed, _ = np.histogram(d, bins=edges)
         cdf = dom.distance_density().cdf(edges)
@@ -84,17 +85,6 @@ def check_distance_histogram(level: str):
         pval = float(chi2.sf(stat, np.count_nonzero(keep) - 1))
         worst_p = min(worst_p, pval)
     return worst_p > 0.01, f"min chi-square p-value = {worst_p:.4f} (limit 0.01)"
-
-
-@_check("geometry/sampling-reproducibility")
-def check_sampling_reproducibility(level: str):
-    ok = True
-    for dom in geometry.DOMAINS:
-        a = dom.sample_points(np.random.default_rng(99), 64)
-        b = dom.sample_points(np.random.default_rng(99), 64)
-        ok &= np.array_equal(a, b)
-    return ok, (
-        "identical seeds give identical samples" if ok else "seeded sampling diverged")
 
 
 @_check("channel/detailed-balance")
@@ -229,12 +219,14 @@ def check_network_scaling(level: str):
 
 @_check("simulator/determinism")
 def check_simulator_determinism(level: str):
-    cfg = simulator.SimConfig(n=5, t_steps=10, trials=20, seed=123,
-                              domain=geometry.SQUARE, params=PAPER_PARAMS)
-    a = simulator.simulate(cfg)
-    b = simulator.simulate(cfg)
-    ok = (np.array_equal(a.states, b.states)
-          and np.array_equal(a.positions, b.positions))
+    ok = True
+    for dom in geometry.DOMAINS:
+        cfg = simulator.SimConfig(n=5, t_steps=10, trials=20, seed=123,
+                                  domain=dom, params=PAPER_PARAMS)
+        a = simulator.simulate(cfg)
+        b = simulator.simulate(cfg)
+        ok &= all(np.array_equal(x, y) for x, y in (
+            (a.positions, b.positions), (a.distances, b.distances), (a.states, b.states)))
     return ok, (
         "identical config gives bit-identical ensembles" if ok else "seeded run diverged")
 

@@ -19,6 +19,25 @@ def rng():
 
 
 @pytest.fixture
+def uniform_points(rng):
+    """Test-local sampler: ``draw(domain, n)`` gives n uniform points of the
+    domain from the ``rng`` fixture, through the library's point map."""
+    def draw(domain, n):
+        return domain.points_from_uniforms(rng.random(n), rng.random(n))
+    return draw
+
+
+@pytest.fixture
+def pair_distances(uniform_points):
+    """``draw(domain, n)``: distances of n independent pairs of uniform points."""
+    def draw(domain, n):
+        a = uniform_points(domain, n)
+        b = uniform_points(domain, n)
+        return np.linalg.norm(a - b, axis=1)
+    return draw
+
+
+@pytest.fixture
 def broken_detailed_balance(monkeypatch):
     """Shift every off->on probability by 1e-6, off detailed balance."""
     real = channel.transition_probabilities

@@ -35,6 +35,15 @@ def test_params_validation(kwargs):
         ChannelParams(**kwargs)
 
 
+@pytest.mark.parametrize("fn", [
+    connection_probability, level_crossing_rate, transition_probabilities])
+@pytest.mark.parametrize("r", [np.nan, np.array([0.1, np.nan, 0.5])],
+                         ids=["scalar", "array"])
+def test_nan_distance_rejected(fn, r, paper_params):
+    with pytest.raises(ChannelError):
+        fn(r, paper_params)
+
+
 class TestConnectionProbability:
     def test_zero_distance(self, paper_params):
         assert connection_probability(0.0, paper_params) == 1.0

@@ -359,7 +359,7 @@ class TestValidate:
         assert len(lines) == len(validation.CHECKS) + 1
         for line, check in zip(lines, validation.CHECKS):
             assert line.startswith(f"[PASS] {check.name}: ")
-        assert lines[-1] == "18/18 checks passed (fast)"
+        assert lines[-1] == "17/17 checks passed (fast)"
         assert elapsed < 60.0
 
     def test_fault_injection_detected(self, capsys, monkeypatch, broken_detailed_balance):

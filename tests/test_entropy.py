@@ -84,9 +84,9 @@ class TestAveragedEdgeProbability:
         assert edge_moments(SQ, paper_params).p_on == pytest.approx(
             GOLDEN_P_ON, abs=1e-9)
 
-    def test_matches_monte_carlo(self, paper_params, rng):
+    def test_matches_monte_carlo(self, paper_params, pair_distances):
         n = 1_000_000
-        d = geometry.sample_distance(SQ, rng, size=n)
+        d = pair_distances(SQ, n)
         sample = channel.connection_probability(d, paper_params)
         se = sample.std(ddof=1) / np.sqrt(n)
         assert abs(edge_moments(SQ, paper_params).p_on - sample.mean()) < 3 * se
@@ -104,9 +104,9 @@ class TestAveragedTransitionProbability:
         assert m.p10 == pytest.approx(GOLDEN_P10_BAR, rel=1e-8)
         assert m.p01 == pytest.approx(GOLDEN_P01_BAR, rel=1e-8)
 
-    def test_matches_monte_carlo(self, paper_params, rng):
+    def test_matches_monte_carlo(self, paper_params, pair_distances):
         n = 1_000_000
-        d = geometry.sample_distance(SQ, rng, size=n)
+        d = pair_distances(SQ, n)
         sample = channel.transition_probabilities(d, paper_params)[1]
         se = sample.std(ddof=1) / np.sqrt(n)
         quad = edge_moments(SQ, paper_params).p10
@@ -146,9 +146,9 @@ class TestConditionalEntropies:
             hard = edge_moments(dom, ChannelParams(0.7, 8.0, 500.0, 12e6)).lower
             assert hard < soft
 
-    def test_lower_matches_monte_carlo(self, paper_params, rng):
+    def test_lower_matches_monte_carlo(self, paper_params, pair_distances):
         n = 1_000_000
-        d = geometry.sample_distance(SQ, rng, size=n)
+        d = pair_distances(SQ, n)
         p = channel.connection_probability(d, paper_params)
         p01, p10 = channel.transition_probabilities(d, paper_params)
 

@@ -1,4 +1,4 @@
-"""Domain geometry, uniform sampling and pair-distance densities."""
+"""Domain geometry, uniform point maps and pair-distance densities."""
 
 import numpy as np
 import pytest
@@ -33,37 +33,30 @@ def test_unknown_domain_rejected():
 
 
 @pytest.mark.parametrize("name", geometry.DOMAIN_NAMES)
-def test_sampled_points_inside_domain(name, rng):
+def test_sampled_points_inside_domain(name, uniform_points):
     dom = domain_from_name(name)
-    pts = dom.sample_points(rng, 20_000)
+    pts = uniform_points(dom, 20_000)
     assert np.all(dom.contains(pts))
 
 
-def test_square_point_support(rng):
-    p = geometry.SQUARE.sample_points(rng, 1)[0]
+def test_square_point_support(uniform_points):
+    p = uniform_points(geometry.SQUARE, 1)[0]
     assert p.shape == (2,)
     assert np.all((p >= 0.0) & (p <= 1.0))
 
 
-def test_disk_point_support(rng):
-    pts = geometry.DISK.sample_points(rng, 5_000)
+def test_disk_point_support(uniform_points):
+    pts = uniform_points(geometry.DISK, 5_000)
     assert np.all(np.linalg.norm(pts, axis=1) <= 1.0 / np.sqrt(np.pi) + 1e-12)
 
 
-def test_triangle_centroid(rng):
+def test_triangle_centroid(uniform_points):
     # sample mean within 3 sigma of the analytic centroid
-    pts = geometry.TRIANGLE.sample_points(rng, 1_000_000)
+    pts = uniform_points(geometry.TRIANGLE, 1_000_000)
     side = 2.0 / 3.0 ** 0.25
     centroid = np.array([side / 2.0, np.sqrt(3.0) / 2.0 * side / 3.0])
     se = pts.std(axis=0, ddof=1) / np.sqrt(len(pts))
     assert np.all(np.abs(pts.mean(axis=0) - centroid) < 3.0 * se)
-
-
-def test_sampling_reproducible():
-    # seeded sample_points is geometry/sampling-reproducibility of validate
-    d1 = geometry.sample_distance(geometry.SQUARE, np.random.default_rng(9), size=16)
-    d2 = geometry.sample_distance(geometry.SQUARE, np.random.default_rng(9), size=16)
-    assert np.array_equal(d1, d2)
 
 
 @pytest.mark.parametrize("name", geometry.DOMAIN_NAMES)
@@ -95,6 +88,20 @@ def test_density_mean(name):
     assert mean == pytest.approx(MEAN_DISTANCE[name], abs=1e-9)
 
 
+@pytest.mark.parametrize("name", geometry.DOMAIN_NAMES)
+def test_cdf_matches_density_integral(name):
+    # the numeric CDF gives validate's expected histogram counts
+    dom = domain_from_name(name)
+    dens = dom.distance_density()
+    assert dens.cdf(0.0) == 0.0
+    assert abs(dens.cdf(dom.diameter) - 1.0) <= 1e-12
+    assert np.all(np.diff(dens.cdf(np.linspace(0.0, dom.diameter, 5001))) >= 0.0)
+    for r in np.linspace(0.0, dom.diameter, 38)[1:]:
+        kinks = [k for k in dom.kinks if k < r]
+        exact = integrate_piecewise(dens.pdf, [0.0, *kinks, r], TIGHT)
+        assert abs(dens.cdf(r) - exact) <= 1e-8
+
+
 def test_distance_pdf_square_values():
     # first branch is 2r(r^2 - 4r + pi)
     r = 0.5
@@ -103,19 +110,18 @@ def test_distance_pdf_square_values():
 
 
 @pytest.mark.parametrize("name", geometry.DOMAIN_NAMES)
-def test_sample_distance_support(name, rng):
+def test_sample_distance_support(name, pair_distances):
     dom = domain_from_name(name)
-    d = geometry.sample_distance(dom, rng, size=10_000)
+    d = pair_distances(dom, 10_000)
     assert np.all((d >= 0.0) & (d <= dom.diameter))
-    assert isinstance(geometry.sample_distance(dom, rng), float)
 
 
 @pytest.mark.parametrize("name", geometry.DOMAIN_NAMES)
-def test_sample_distance_ks(name, rng):
+def test_sample_distance_ks(name, pair_distances):
     # KS statistic against the numerically integrated CDF, 1% critical value
     dom = domain_from_name(name)
     n = 1_000_000
-    d = np.sort(geometry.sample_distance(dom, rng, size=n))
+    d = np.sort(pair_distances(dom, n))
     cdf = dom.distance_density().cdf(d)
     i = np.arange(1, n + 1)
     ks = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
@@ -123,12 +129,12 @@ def test_sample_distance_ks(name, rng):
 
 
 @pytest.mark.parametrize("name", geometry.DOMAIN_NAMES)
-def test_histogram_matches_density(name, rng):
+def test_histogram_matches_density(name, pair_distances):
     # 1e6 samples, 200 bins, chi-square p-value above 0.01
     from scipy.stats import chi2
     dom = domain_from_name(name)
     n, bins = 1_000_000, 200
-    d = geometry.sample_distance(dom, rng, size=n)
+    d = pair_distances(dom, n)
     edges = np.linspace(0.0, dom.diameter, bins + 1)
     observed, _ = np.histogram(d, bins=edges)
     expected = np.diff(dom.distance_density().cdf(edges)) * n
@@ -138,8 +144,8 @@ def test_histogram_matches_density(name, rng):
     assert pval > 0.01
 
 
-def test_triangle_sample_mean(rng):
-    d = geometry.sample_distance(geometry.TRIANGLE, rng, size=1_000_000)
+def test_triangle_sample_mean(pair_distances):
+    d = pair_distances(geometry.TRIANGLE, 1_000_000)
     se = d.std(ddof=1) / np.sqrt(d.size)
     assert abs(d.mean() - MEAN_DISTANCE["triangle"]) < 3.0 * se
 

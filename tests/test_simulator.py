@@ -234,7 +234,8 @@ class TestGolden:
 
 class TestSimulate:
     def test_bit_reproducible(self, paper_params):
-        # equal positions and states are simulator/determinism of validate
+        # simulator/determinism of validate checks equal positions, distances
+        # and states on every domain; here a new seed must also differ
         cfg = small_config(paper_params)
         a = simulate(cfg)
         b = simulate(cfg)
