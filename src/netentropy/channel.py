@@ -13,10 +13,16 @@ The unclamped flip probabilities are written once, in ``_unclamped_rates``,
 which the clamped rates, the clamp radii and the admissibility scan all read.
 The p01 clamp radius is found on that kernel by an in-repo bracketed solve,
 a k-section over float64 bit patterns, so the module needs only numpy.
+
+:class:`ChannelParams` may hold a batch of points: r0 and nu as 1-D arrays,
+which broadcast against the trailing axis of a distance array, while eta and
+B stay scalar.  Every function here then evaluates all points at once, each
+exactly as it would alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +46,9 @@ _N_SCAN = 2048
 _TINY = np.finfo(float).tiny
 # where each round of the p01 clamp radius solve cuts its bracket: 255 cuts
 # reach adjacent floats in about eight rounds, as fast as a scipy brentq
-_KSECTION_STEPS = np.arange(1.0, 256.0) / 256.0
+_KSECTION_STEPS = (np.arange(1.0, 256.0) / 256.0)[:, None]
+# offsets of a cut's two ends from the first pattern not above the cap
+_CELL = np.array([[-1], [0]])
 
 
 class ChannelError(ValueError):
@@ -55,6 +63,10 @@ class ChannelParams:
     eta  : path loss exponent, > 0
     nu   : maximum Doppler frequency in Hz, >= 0 (shared by all links)
     B    : transmission rate in symbols per second, > 0
+
+    r0 and nu may also be 1-D arrays, a batch of points: either one may be
+    an array, and both are then stored as read-only float arrays of the
+    batch's length.
     """
 
     r0: float
@@ -63,18 +75,69 @@ class ChannelParams:
     B: float
 
     def __post_init__(self):
-        for name in ("r0", "eta", "nu", "B"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ChannelError(f"{name} must be finite, got {value}")
-        if not self.r0 > 0:
-            raise ChannelError(f"r0 must be > 0, got {self.r0}")
+        if np.ndim(self.eta) or np.ndim(self.B):
+            raise ChannelError("eta and B must be scalars")
+        if np.ndim(self.r0) or np.ndim(self.nu):
+            self._store_batch()
+            # a batch is valid if its extremes are (NaN is its own extreme)
+            r0 = (self.r0.min(), self.r0.max())
+            nu = (self.nu.min(), self.nu.max())
+        else:
+            r0, nu = (self.r0,), (self.nu,)
+        for name, values in (("r0", r0), ("eta", (self.eta,)), ("nu", nu), ("B", (self.B,))):
+            for value in values:
+                if not math.isfinite(value):
+                    raise ChannelError(f"{name} must be finite, got {value}")
+        if not min(r0) > 0:
+            raise ChannelError(f"r0 must be > 0, got {min(r0)}")
         if not self.eta > 0:
             raise ChannelError(f"eta must be > 0, got {self.eta}")
-        if self.nu < 0:
-            raise ChannelError(f"nu must be >= 0, got {self.nu}")
+        if min(nu) < 0:
+            raise ChannelError(f"nu must be >= 0, got {min(nu)}")
         if not self.B > 0:
             raise ChannelError(f"B must be > 0, got {self.B}")
+
+    def _store_batch(self):
+        """Store r0 and nu as read-only float arrays of the batch's length."""
+        try:
+            r0, nu = np.broadcast_arrays(np.array(self.r0, dtype=float),
+                                         np.array(self.nu, dtype=float))
+        except ValueError:
+            r0 = nu = np.empty((0, 0))
+        if r0.ndim != 1 or not r0.size:
+            raise ChannelError(
+                "r0 and nu must be scalars or non-empty 1-D arrays of one length")
+        for name, value in (("r0", r0), ("nu", nu)):
+            value = value.copy()
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @property
+    def shape(self) -> tuple:
+        """Batch shape: () for one point, (n,) for a batch of n points."""
+        return np.shape(self.r0)
+
+    def batch(self) -> "ChannelParams":
+        """These parameters as a batch: themselves, or a batch of one point."""
+        if self.shape:
+            return self
+        return ChannelParams([self.r0], self.eta, [self.nu], self.B)
+
+    def at(self, index) -> "ChannelParams":
+        """The points of the batch that ``index`` selects; an integer gives
+        one point."""
+        points = self.batch()
+        return ChannelParams(points.r0[index], self.eta, points.nu[index], self.B)
+
+    def squeezed(self) -> "ChannelParams":
+        """A batch of one point as that point; one point or a longer batch as
+        it is.
+
+        Both broadcast alike against (..., 1) nodes, but numpy runs an
+        (M, 1) by (1,) operation as M inner loops of length 1, and an
+        (M, 1) by scalar one as a single loop.
+        """
+        return self.at(0) if self.shape == (1,) else self
 
 
 @dataclass
@@ -100,21 +163,21 @@ def _check_r(r) -> np.ndarray:
     return arr
 
 
-def _shape_back(r, out: np.ndarray):
-    return out if np.ndim(r) else float(out[0])
+def _shape_back(r, params: ChannelParams, out: np.ndarray):
+    return out if np.ndim(r) or params.shape else float(out[0])
 
 
 def connection_probability(r, params: ChannelParams):
     """Probability exp(-(r/r0)**eta) that a link at distance r is on."""
     arr = _check_r(r)
-    return _shape_back(r, np.exp(-((arr / params.r0) ** params.eta)))
+    return _shape_back(r, params, np.exp(-((arr / params.r0) ** params.eta)))
 
 
 def level_crossing_rate(r, params: ChannelParams):
     """Threshold crossing rate of the fading SNR at distance r, in Hz."""
     arr = _check_r(r)
     x = (arr / params.r0) ** params.eta
-    return _shape_back(r, SQRT_2PI * np.sqrt(x) * params.nu * np.exp(-x))
+    return _shape_back(r, params, SQRT_2PI * np.sqrt(x) * params.nu * np.exp(-x))
 
 
 def _unclamped_rates(r, params: ChannelParams):
@@ -132,7 +195,7 @@ def _unclamped_rates(r, params: ChannelParams):
     p10 = SQRT_2PI * params.nu * sqrt_x / params.B
     # p01 = sqrt(2 pi) nu sqrt(x) e^-x / ((1 - e^-x) B); -expm1(-x) = 1 - e^-x
     denom = -np.expm1(-x)
-    limit = np.where(r > 0.0, np.inf if params.nu > 0.0 else 0.0, 0.0)
+    limit = np.where(r > 0.0, np.where(params.nu > 0.0, np.inf, 0.0), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         p01 = np.where(
             denom > 0.0,
@@ -155,7 +218,7 @@ def transition_probabilities(r, params: ChannelParams):
         clamp_diagnostics.record(n_clamped)
         p01 = np.minimum(p01, hi)
         p10 = np.minimum(p10, hi)
-    return _shape_back(r, p01), _shape_back(r, p10)
+    return _shape_back(r, params, p01), _shape_back(r, params, p10)
 
 
 def clamp_radii(params: ChannelParams, diameter: float):
@@ -170,50 +233,69 @@ def clamp_radii(params: ChannelParams, diameter: float):
     radius where x = (r/r0)**eta is the smallest normal float, so the kernel
     never sees the x == 0 of an underflowed power; a crossing below it, where
     x is not representable, is not reported.
+
+    Returns the sorted radii of one point, or for a batch one such list per
+    point; the batch's k-sections run in lockstep, each on its own bracket.
     """
-    if params.nu == 0.0:
-        return []
+    pts = params.batch()
     hi = 1.0 - CLAMP_EPS
-    r_lo = max(params.r0 * _TINY ** (1.0 / params.eta), _TINY)
-    ends = np.array([r_lo, diameter])
-    p01, p10 = _unclamped_rates(ends, params)
-    radii = []
+    r_lo = np.maximum(pts.r0 * _TINY ** (1.0 / pts.eta), _TINY)
+    ends = np.stack([r_lo, np.full_like(r_lo, diameter)])
+    # both rates are 0 for a frozen chain (nu == 0): it has no radius
+    kernel = params.squeezed()
+    p01, p10 = _unclamped_rates(ends, kernel)
+    r01 = np.full(len(r_lo), np.nan)
     # p01 diverges at 0+: the bracket holds unless p01 is below cap throughout
-    if r_lo < diameter and p01[0] > hi and p01[1] <= hi:
-        radii.append(_p01_cap_radius(params, ends))
-    if p10[1] > hi:
-        radii.append(params.r0 * (hi * params.B / (SQRT_2PI * params.nu)) ** (2.0 / params.eta))
-    return sorted(r for r in radii if 0.0 < r < diameter)
+    solve = (r_lo < diameter) & (p01[0] > hi) & (p01[1] <= hi)
+    if solve.all():
+        r01 = _p01_cap_radius(kernel, ends)
+    elif solve.any():
+        r01[solve] = _p01_cap_radius(pts.at(solve).squeezed(), ends[:, solve])
+    radii = []
+    for j in range(len(r_lo)):
+        point = [r01[j]]
+        if p10[1, j] > hi:
+            # the closed form per point, in the scalar arithmetic of one point
+            point.append(pts.r0[j] * (hi * pts.B / (SQRT_2PI * pts.nu[j]))
+                         ** (2.0 / pts.eta))
+        radii.append(sorted(float(r) for r in point if 0.0 < r < diameter))
+    return radii if params.shape else radii[0]
 
 
-def _p01_cap_radius(params: ChannelParams, ends: np.ndarray) -> float:
-    """Float r where the unclamped p01 drops to the cap, between ``ends``.
+def _p01_cap_radius(params: ChannelParams, ends: np.ndarray) -> np.ndarray:
+    """Float r where the unclamped p01 drops to the cap, between ``ends``,
+    for each point of ``params``, a batch or one point.
 
-    ``ends`` holds two positive radii, p01 above the cap at the first and not
-    at the second.  Positive floats are ordered like their bit patterns as
-    integers, so each round evaluates the kernel at 255 patterns evenly
-    spaced in the bracket and keeps the cell where p01 first drops to the
-    cap.  The rounds stop at adjacent floats: p01 is above the cap at the
-    float below the returned r and not above it at r.
+    ``ends`` (2, n) holds two positive radii per point, p01 above the cap at
+    the first and not at the second.  Positive floats are ordered like their
+    bit patterns as integers, so each round evaluates the kernel at 255
+    patterns evenly spaced in each point's bracket, between its two ends,
+    and keeps the cell where p01 first drops to the cap.  A point stops at
+    adjacent floats: p01 is above the cap at the float below its r and not
+    above it at r.  A point that has stopped keeps its bracket while the
+    others go on: its 255 patterns are all its lower end.
     """
     hi = 1.0 - CLAMP_EPS
-    lo, up = ends.view(np.int64).tolist()
-    while up - lo > 1:
-        bits = lo + ((up - lo) * _KSECTION_STEPS).astype(np.int64)
-        above = _unclamped_rates(bits.view(np.float64), params)[0] > hi
-        i = int(above.argmin())
-        if above[i]:
-            lo = int(bits[-1])
-        else:
-            up = int(bits[i])
-            if i:
-                lo = int(bits[i - 1])
-    return float(np.int64(up).view(np.float64))
+    ends = ends.view(np.int64)
+    cols = np.arange(ends.shape[1])
+    bits = np.empty((len(_KSECTION_STEPS) + 2, len(cols)), dtype=np.int64)
+    width = ends[1] - ends[0]
+    while (width > 1).any():
+        bits[[0, -1]] = ends
+        bits[1:-1] = ends[0] + (width * _KSECTION_STEPS).astype(np.int64)
+        # the first pattern where p01 is not above the cap: never the lower
+        # end, where it is, and at the latest the upper end, where it is not
+        i = (_unclamped_rates(bits.view(np.float64), params)[0] > hi).argmin(axis=0)
+        ends = bits[i + _CELL, cols]
+        width = ends[1] - ends[0]
+    return ends[1].view(np.float64)
 
 
 @dataclass(frozen=True)
 class SlowFadingReport:
-    """Admissibility scan of the slow-fading approximation over a domain."""
+    """Admissibility scan of the slow-fading approximation over a domain;
+    for a batch of points each field but ``threshold`` is an array with one
+    entry per point."""
 
     max_p01: float
     argmax_p01: float
@@ -231,33 +313,36 @@ def slow_fading_report(params: ChannelParams, domain: Domain) -> SlowFadingRepor
     Both entries must stay at or below THETA_SLOW.  The off->on entry is
     scanned only where the off state has occupancy >= OCCUPANCY_FLOOR: below
     that radius the approximation diverges while describing transitions out
-    of a state the edge essentially never occupies.
+    of a state the edge essentially never occupies.  A batch is scanned with
+    one kernel call per entry, and its report holds one array entry per point.
     """
+    pts = params.batch()
     D = domain.diameter
     r_min = R_MIN_FRACTION * D
     # occupancy floor radius: 1 - p(r) = OCCUPANCY_FLOOR
     x_occ = -np.log1p(-OCCUPANCY_FLOOR)
-    r_occ = params.r0 * x_occ ** (1.0 / params.eta)
-    lo_p01 = min(max(r_min, r_occ), D)
+    r_occ = pts.r0 * x_occ ** (1.0 / pts.eta)
+    lo_p01 = np.minimum(np.maximum(r_min, r_occ), D)
     lo_p10 = min(r_min, D)
 
-    if params.nu == 0.0:
-        return SlowFadingReport(0.0, lo_p01, 0.0, lo_p10, lo_p01, lo_p10,
-                                THETA_SLOW, True)
-
-    grid01 = np.geomspace(lo_p01, D, _N_SCAN)
-    grid10 = np.geomspace(lo_p10, D, _N_SCAN)
-    p01 = _unclamped_rates(grid01, params)[0]
-    p10 = _unclamped_rates(grid10, params)[1]
-    i01 = int(np.argmax(p01))
-    i10 = int(np.argmax(p10))
-    return SlowFadingReport(
-        max_p01=float(p01[i01]),
-        argmax_p01=float(grid01[i01]),
-        max_p10=float(p10[i10]),
-        argmax_p10=float(grid10[i10]),
-        scan_lo_p01=float(lo_p01),
-        scan_lo_p10=float(lo_p10),
-        threshold=THETA_SLOW,
-        admissible=bool(p01[i01] <= THETA_SLOW and p10[i10] <= THETA_SLOW),
+    # a frozen chain (nu == 0) scans as all zeros: admissible, argmax at lo
+    grid01 = np.geomspace(lo_p01, D, _N_SCAN)                 # (_N_SCAN, n)
+    grid10 = np.geomspace(lo_p10, D, _N_SCAN)[:, None]
+    p01 = _unclamped_rates(grid01, params.squeezed())[0]
+    p10 = _unclamped_rates(grid10, params.squeezed())[1]
+    cols = np.arange(len(lo_p01))
+    i01 = np.argmax(p01, axis=0)
+    i10 = np.argmax(p10, axis=0)
+    max_p01, max_p10 = p01[i01, cols], p10[i10, cols]
+    fields = dict(
+        max_p01=max_p01,
+        argmax_p01=grid01[i01, cols],
+        max_p10=max_p10,
+        argmax_p10=grid10[i10, 0],
+        scan_lo_p01=lo_p01,
+        scan_lo_p10=np.full(len(cols), lo_p10),
+        admissible=(max_p01 <= THETA_SLOW) & (max_p10 <= THETA_SLOW),
     )
+    if not params.shape:
+        fields = {name: value[0].item() for name, value in fields.items()}
+    return SlowFadingReport(threshold=THETA_SLOW, **fields)

@@ -94,24 +94,26 @@ def cmd_bounds_sweep(args: argparse.Namespace) -> int:
     failures = 0
     for domain in domains:
         for eta in args.eta:
-            for value in grid:
-                r0 = value if args.variable == "r0" else args.r0
-                nu = value if args.variable == "nu" else args.nu
-                params = ChannelParams(r0=r0, eta=eta, nu=nu, B=args.symbol_rate)
-                admissible = int(slow_fading_report(params, domain).admissible)
-                try:
-                    b = entropy.entropy_rate_bounds(args.nodes, domain, params)
-                    values, status = (b.per_edge_lower, b.per_edge_upper,
-                                      b.network_lower, b.network_upper), "ok"
-                except QuadratureError:
+            # one batch per (domain, eta): the grid's points share quadratures
+            params = ChannelParams(r0=grid if args.variable == "r0" else args.r0,
+                                   eta=eta, B=args.symbol_rate,
+                                   nu=grid if args.variable == "nu" else args.nu)
+            admissible = slow_fading_report(params, domain).admissible
+            bounds = entropy.batch_entropy_rate_bounds(args.nodes, domain, params)
+            points = params.batch()
+            for r0, nu, ok, b in zip(points.r0, points.nu, admissible, bounds):
+                if isinstance(b, QuadratureError):
                     values, status = ("nan",) * 4, "error:quadrature"
-                except ValueError:
+                elif isinstance(b, ValueError):
                     # bound ordering violated: the transition approximation
                     # broke down entirely at this (inadmissible) point
                     values, status = ("nan",) * 4, "error:bounds"
+                else:
+                    values, status = (b.per_edge_lower, b.per_edge_upper,
+                                      b.network_lower, b.network_upper), "ok"
                 failures += status != "ok"
                 rows.append((domain.name, eta, r0, nu, args.symbol_rate, args.nodes,
-                             *values, admissible, status))
+                             *values, int(ok), status))
     _write_csv(args.out, SWEEP_COLUMNS, rows)
     return 1 if failures else 0
 

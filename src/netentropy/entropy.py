@@ -7,6 +7,11 @@ the density kinks and at the radii where the transition-probability clamp
 engages, so every integrand is smooth inside each panel.
 
 Entropies are in bits per time step throughout.
+
+The bounds of a batch of points (r0 or nu arrays, see
+:class:`~netentropy.channel.ChannelParams`) share their quadratures: the
+points with the same number of breakpoints are integrated together, one
+column each, and every point gets the numbers it would get alone.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import numpy as np
 from . import channel
 from .channel import ChannelParams
 from .geometry import Domain
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_piecewise
+from .quadrature import (DEFAULT_SPEC, QuadratureError, QuadratureSpec,
+                         integrate_piecewise, max_columns)
 
 MAX_ORACLE_STEPS = 12
 
@@ -38,10 +44,13 @@ def _binary_entropy(q: np.ndarray) -> np.ndarray:
 
 
 def integration_breakpoints(domain: Domain, params: ChannelParams):
-    """Density kinks plus transition-clamp boundaries, strictly increasing."""
-    pts = set(domain.distance_density().breakpoints)
-    pts.update(channel.clamp_radii(params, domain.diameter))
-    return sorted(pts)
+    """Density kinks plus transition-clamp boundaries, strictly increasing;
+    for a batch of points, one such list per point."""
+    kinks = domain.distance_density().breakpoints
+    radii = channel.clamp_radii(params, domain.diameter)
+    if not params.shape:
+        return sorted({*kinks, *radii})
+    return [sorted({*kinks, *point}) for point in radii]
 
 
 @dataclass(frozen=True)
@@ -87,10 +96,9 @@ class EdgeMoments:
         return float(h)
 
 
-def edge_moments(domain: Domain, params: ChannelParams,
-                 spec: QuadratureSpec = DEFAULT_SPEC) -> EdgeMoments:
-    """Integrate every :class:`EdgeMoments` field against f_R in one stacked
-    quadrature."""
+def _moment_integrand(domain: Domain, params: ChannelParams):
+    """The stacked :class:`EdgeMoments` integrands at nodes r, whose trailing
+    axis runs over the points of a batch ``params``."""
     density = domain.distance_density()
 
     def integrand(r):
@@ -110,8 +118,50 @@ def edge_moments(domain: Domain, params: ChannelParams,
             p * p10 * w,
         ])
 
-    return EdgeMoments(*integrate_piecewise(
-        integrand, integration_breakpoints(domain, params), spec).tolist())
+    return integrand
+
+
+def batch_edge_moments(domain: Domain, params: ChannelParams,
+                       spec: QuadratureSpec = DEFAULT_SPEC) -> list:
+    """:class:`EdgeMoments` at every point of a batch (a scalar ``params`` is
+    a batch of one).
+
+    Points with the same number of breakpoints share one stacked quadrature,
+    one column each, at most :func:`~netentropy.quadrature.max_columns` at a
+    time.  Returns one entry per point: its EdgeMoments, or the
+    :class:`QuadratureError` of a point whose refinement did not converge.
+    """
+    points = params.batch()
+    breakpoints = integration_breakpoints(domain, points)
+    by_count = {}
+    for j, pts in enumerate(breakpoints):
+        by_count.setdefault(len(pts), []).append(j)
+    width = max_columns(spec)
+    out = [None] * len(breakpoints)
+    for members in by_count.values():
+        for start in range(0, len(members), width):
+            cols = members[start:start + width]
+            pts = np.array([breakpoints[j] for j in cols]).T
+            group = params if len(cols) == len(out) else points.at(cols)
+            try:
+                values = integrate_piecewise(
+                    _moment_integrand(domain, group.squeezed()), pts, spec)
+                error, converged = None, np.ones(len(cols), dtype=bool)
+            except QuadratureError as exc:
+                values, error, converged = exc.result, exc, exc.converged
+            for k, j in enumerate(cols):
+                out[j] = EdgeMoments(*values[:, k].tolist()) if converged[k] else error
+    return out
+
+
+def edge_moments(domain: Domain, params: ChannelParams,
+                 spec: QuadratureSpec = DEFAULT_SPEC) -> EdgeMoments:
+    """Integrate every :class:`EdgeMoments` field against f_R in one stacked
+    quadrature: the one-point case of :func:`batch_edge_moments`."""
+    (moments,) = batch_edge_moments(domain, params, spec)
+    if isinstance(moments, QuadratureError):
+        raise moments
+    return moments
 
 
 @dataclass(frozen=True)
@@ -161,14 +211,35 @@ class EntropyRateBounds:
         return self.edge_count * self.per_edge_joint_upper
 
 
-def entropy_rate_bounds(n: int, domain: Domain, params: ChannelParams,
-                        spec: QuadratureSpec = DEFAULT_SPEC) -> EntropyRateBounds:
-    """Sandwich bounds on the entropy rate of the n-node temporal network."""
+def batch_entropy_rate_bounds(n: int, domain: Domain, params: ChannelParams,
+                              spec: QuadratureSpec = DEFAULT_SPEC) -> list:
+    """Sandwich bounds at every point of a batch, from
+    :func:`batch_edge_moments`.  Returns one entry per point: its
+    :class:`EntropyRateBounds`, or the error that stopped it, a
+    :class:`QuadratureError` or the ValueError of bounds out of order."""
     if n < 2:
         raise ValueError(f"node count must be >= 2, got {n}")
-    m = edge_moments(domain, params, spec)
-    return EntropyRateBounds(per_edge_lower=m.lower, per_edge_upper=m.composition(),
-                             n=n, per_edge_joint_upper=m.joint_conditional())
+    out = []
+    for m in batch_edge_moments(domain, params, spec):
+        if isinstance(m, EdgeMoments):
+            try:
+                m = EntropyRateBounds(per_edge_lower=m.lower,
+                                      per_edge_upper=m.composition(), n=n,
+                                      per_edge_joint_upper=m.joint_conditional())
+            except ValueError as exc:
+                m = exc
+        out.append(m)
+    return out
+
+
+def entropy_rate_bounds(n: int, domain: Domain, params: ChannelParams,
+                        spec: QuadratureSpec = DEFAULT_SPEC) -> EntropyRateBounds:
+    """Sandwich bounds on the entropy rate of the n-node temporal network:
+    the one-point case of :func:`batch_entropy_rate_bounds`."""
+    (bounds,) = batch_entropy_rate_bounds(n, domain, params, spec)
+    if isinstance(bounds, Exception):
+        raise bounds
+    return bounds
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,24 @@ fixed-order Gauss rule per panel converges spectrally once panels never
 straddle a breakpoint.  Refinement halves every panel and accepts the result
 when two successive depths agree to the requested relative tolerance.
 
-Integrands are evaluated vectorized: ``f(nodes)`` receives a 1-D array of
-abscissae and may return either a matching 1-D array or a stack of integrand
-components with shape (..., len(nodes)); the integral keeps the leading shape.
-One call carries the nodes of every segment of one refinement depth, in
-segment order, at most 4,096 of them, so a call may span breakpoints and
+One call integrates one problem, or a batch of problems along a trailing
+column axis: ``breakpoints`` of shape (K,) or (K, B), column j holding
+problem j's K strictly increasing breakpoints.  Integrands are evaluated
+vectorized: ``f(nodes)`` receives one array of abscissae, shape (M,) or
+(M, B) with the node axis first, and returns a matching array or a stack of
+integrand components with shape (..., M) or (..., M, B); the integral keeps
+the leading shape and the column axis.  One call carries, in segment order,
+the nodes of every segment and every column at one refinement depth, at most
+4,096 nodes counted over all columns, so a call may span breakpoints and
 ``f`` must be elementwise in its argument: the value at a node may not
-depend on the other nodes of the call.
+depend on the other nodes of the call.  Parameters of the problems (one per
+column) broadcast against the trailing axis, which is why every call holds
+every column: ``f`` takes nothing but the nodes, so it cannot be told which
+columns a call holds.  A column that has converged is therefore still
+evaluated until the last column of the batch converges, and its value is
+the one of its own accepted depth.  Each column's panels, Gauss sums, dot
+products and additions are those of its problem integrated alone, so a
+batch gives every column's integral bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +36,17 @@ import numpy as np
 
 
 class QuadratureError(RuntimeError):
-    """Dyadic refinement failed to converge within the allowed depth."""
+    """Dyadic refinement failed to converge within the allowed depth.
+
+    ``converged`` marks the columns that did converge (one entry per column,
+    a 0-d array for a single problem) and ``result`` holds the integral,
+    NaN in the columns that did not.
+    """
+
+    def __init__(self, message: str, result=None, converged=None):
+        super().__init__(message)
+        self.result = result
+        self.converged = converged
 
 
 @dataclass(frozen=True)
@@ -55,51 +76,65 @@ def _gauss_nodes(order: int):
     return xg, wg
 
 
-# cap on nodes per integrand call so deep refinement of wide vector
-# integrands (the oracle's per-class stack) stays memory-bounded
+# cap on nodes per integrand call, counted over all columns, so deep
+# refinement of wide vector integrands (the oracle's per-class stack) stays
+# memory-bounded
 _MAX_NODES_PER_CALL = 4096
 
 
-def _calls(groups, panels_per_call: int):
-    """Split the panel groups, in order, into runs that fit one call."""
-    batch, panels = [], 0
-    for group in groups:
-        if panels + len(group[0]) > panels_per_call:
-            yield batch
-            batch, panels = [], 0
-        batch.append(group)
-        panels += len(group[0])
-    yield batch
+def max_columns(spec: QuadratureSpec = DEFAULT_SPEC) -> int:
+    """Most columns one :func:`integrate_piecewise` call takes: one panel of
+    every column must fit one integrand call."""
+    return max(1, _MAX_NODES_PER_CALL // spec.nodes_per_panel)
 
 
-def _eval_depth(f, segments, depth: int, order: int):
-    """Integral with each segment split into 2**depth equal panels.
+def _eval_depth(f, lo, hi, depth: int, order: int, flat: bool):
+    """Integral of every column with each segment split into 2**depth equal
+    panels; ``lo`` and ``hi`` are the (S, B) segment ends.  Returns (B, ...).
 
-    Each segment's panels are summed in groups of at most ``panels_per_call``.
-    Consecutive groups, across segments, share one integrand call while their
-    nodes fit the cap; each group's weighted sum is then formed on its own
-    and added in segment order, so merging calls does not move a bit.
+    The calls take consecutive panels of all segments, at most
+    ``panels_per_call`` counted over all columns.  Each panel's Gauss sum is
+    formed on its own; each segment's panel sums are then dotted with their
+    half-widths in groups of at most ``panels_per_call`` and added in segment
+    order, per column, as a (..., panels) @ (panels,) product on contiguous
+    operands.  So neither the packing of calls nor the column count moves a
+    bit.  ``flat`` passes nodes as (M,) to a single problem's integrand.
     """
     xg, wg = _gauss_nodes(order)
     panels_per_call = max(1, _MAX_NODES_PER_CALL // order)
-    groups = []   # (half-widths, midpoints) of each panel group, in order
-    for lo, hi in segments:
-        edges = np.linspace(lo, hi, 2 ** depth + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        for start in range(0, len(mid), panels_per_call):
-            sl = slice(start, start + panels_per_call)
-            groups.append((half[sl], mid[sl]))
+    n_col = lo.shape[1]
+    per_seg = 2 ** depth
+    edges = np.linspace(lo, hi, per_seg + 1)                  # (per_seg + 1, S, B)
+    half = (0.5 * (edges[1:] - edges[:-1])).transpose(1, 0, 2).reshape(-1, n_col)
+    mid = (0.5 * (edges[1:] + edges[:-1])).transpose(1, 0, 2).reshape(-1, n_col)
+    n_panels = len(half)
+    rows = max(1, panels_per_call // n_col)                   # panels per call
+
+    sums = None                                               # (B, ..., panels)
+    for start in range(0, n_panels, rows):
+        stop = min(start + rows, n_panels)
+        nodes = (mid[start:stop, None, :] + half[start:stop, None, :] * xg[:, None]
+                 ).reshape(-1, n_col)
+        vals = np.asarray(f(nodes.reshape(-1) if flat else nodes), dtype=float)
+        lead = vals.shape[:-1] if flat else vals.shape[:-2]
+        # (B, ..., panels, order), C-contiguous as one problem's values are
+        vals = vals.reshape(*lead, stop - start, order, n_col)
+        vals = vals.transpose(vals.ndim - 1, *range(vals.ndim - 1))
+        if sums is None:
+            sums = np.empty((n_col, *lead, n_panels))
+        sums[..., start:stop] = np.multiply(vals, wg, order="C").sum(axis=-1)
+
+    half_t = np.ascontiguousarray(half.T)                     # (B, panels)
+    lead = (1,) * (sums.ndim - 3)
     total = None
-    for batch in _calls(groups, panels_per_call):
-        nodes = np.concatenate([(mid[:, None] + half[:, None] * xg[None, :]).ravel()
-                                for half, mid in batch])
-        vals = np.asarray(f(nodes), dtype=float)
-        vals = vals.reshape(vals.shape[:-1] + (-1, order))
-        at = 0
-        for half, _ in batch:
-            contrib = np.sum(vals[..., at:at + len(half), :] * wg, axis=-1) @ half
-            at += len(half)
+    for seg in range(0, n_panels, per_seg):
+        for a in range(seg, seg + per_seg, panels_per_call):
+            b = min(a + panels_per_call, seg + per_seg)
+            group = np.ascontiguousarray(sums[..., a:b])
+            if group.ndim == 2:     # scalar integrand: a dot product per column
+                contrib = np.matmul(group[:, None, :], half_t[:, a:b, None])[:, 0, 0]
+            else:
+                contrib = np.matmul(group, half_t[:, a:b].reshape(n_col, *lead, -1, 1))[..., 0]
             total = contrib if total is None else total + contrib
     return total
 
@@ -107,25 +142,51 @@ def _eval_depth(f, segments, depth: int, order: int):
 def integrate_piecewise(f, breakpoints, spec: QuadratureSpec = DEFAULT_SPEC):
     """Integrate ``f`` over the interval spanned by sorted ``breakpoints``.
 
-    Panels are refined dyadically until two successive depths agree to
+    ``breakpoints`` has shape (K,) for one problem or (K, B) for B problems,
+    column j holding problem j's strictly increasing breakpoints, at most
+    :func:`max_columns` of them.  ``f`` is called with one positional array
+    of nodes, (M,) or (M, B), and returns (..., M) or (..., M, B); see the
+    module docstring for the batch contract.  Panels are refined dyadically
+    until, in each column, two successive depths agree to
     ``spec.rel_tolerance`` (relative to max(1, |result|), componentwise for
-    vector integrands).  Raises :class:`QuadratureError` if ``max_depth`` is
-    reached without convergence.
+    vector integrands); a column's result is the one of its accepted depth,
+    though every column is evaluated until the last one converges.  Returns
+    shape (...) or (..., B).  Raises :class:`QuadratureError`, carrying the
+    converged columns, if ``max_depth`` is reached with any column
+    unconverged.
     """
-    pts = [float(b) for b in breakpoints]
-    if len(pts) < 2 or any(b <= a for a, b in zip(pts[:-1], pts[1:])):
+    pts = np.asarray(breakpoints, dtype=float)
+    flat = pts.ndim == 1
+    if not (1 <= pts.ndim <= 2 and len(pts) >= 2 and np.all(pts[1:] > pts[:-1])):
         raise ValueError("breakpoints must be strictly increasing with >= 2 entries")
-    segments = list(zip(pts[:-1], pts[1:]))
+    cols = pts.reshape(len(pts), -1)
+    if not 1 <= cols.shape[1] <= max_columns(spec):
+        raise ValueError(f"1 to {max_columns(spec)} columns per call, "
+                         f"got {cols.shape[1]}")
+    lo, hi = cols[:-1], cols[1:]
 
-    prev = _eval_depth(f, segments, 0, spec.nodes_per_panel)
+    prev = _eval_depth(f, lo, hi, 0, spec.nodes_per_panel, flat)
+    result = np.full(prev.shape, np.nan)
+    done = np.zeros(len(prev), dtype=bool)
     for depth in range(1, spec.max_depth + 1):
-        cur = _eval_depth(f, segments, depth, spec.nodes_per_panel)
-        err = np.max(np.abs(cur - prev))
-        scale = max(1.0, float(np.max(np.abs(cur))))
-        if err <= spec.rel_tolerance * scale:
-            return cur
+        cur = _eval_depth(f, lo, hi, depth, spec.nodes_per_panel, flat)
+        err = np.abs(cur - prev).reshape(len(cur), -1).max(axis=1)
+        scale = np.abs(cur).reshape(len(cur), -1).max(axis=1)
+        accept = err <= spec.rel_tolerance * np.maximum(scale, 1.0)
+        accept &= ~done
+        result[accept] = cur[accept]
+        done |= accept
+        if done.all():
+            return _columns_last(result, flat)
         prev = cur
+    worst = float(np.max(err[~done]))
     raise QuadratureError(
         f"no convergence after depth {spec.max_depth} "
-        f"({2 ** spec.max_depth} panels per segment); last error {err:.3e}"
-    )
+        f"({2 ** spec.max_depth} panels per segment) in {np.count_nonzero(~done)} "
+        f"of {len(done)} columns; last error {worst:.3e}",
+        result=_columns_last(result, flat), converged=done[0] if flat else done)
+
+
+def _columns_last(result, flat: bool):
+    """(B, ...) column results as (...) for one problem, else (..., B)."""
+    return result[0] if flat else np.moveaxis(result, 0, -1)

@@ -220,6 +220,25 @@ class TrajectoryEnsemble:
         return adj
 
 
+def sample_positions(config: SimConfig):
+    """Node positions (trials, n, 2) and pair distances (trials, n_edges), in
+    edge_pairs order, of every trial of ``config``, drawn from the position
+    lane: the ones :func:`simulate` uses, without stepping any edge chain."""
+    n = config.n
+    iu, ju = np.triu_indices(n, k=1)
+    positions = np.empty((config.trials, n, 2))
+    distances = np.empty((config.trials, config.n_edges))
+    for trials in _chunks(config.trials, _blocks(2 * n)):
+        upos = _stream_uniforms(config.seed, _indices(trials), _POSITION_LANE,
+                                2 * n)[:, :, 0]
+        pos = config.domain.points_from_uniforms(
+            upos[:, :n].ravel(), upos[:, n:].ravel()).reshape(-1, n, 2)
+        positions[trials] = pos
+        distances[trials] = np.hypot(pos[:, iu, 0] - pos[:, ju, 0],
+                                     pos[:, iu, 1] - pos[:, ju, 1])
+    return positions, distances
+
+
 def simulate(config: SimConfig, initial_state: str = "stationary") -> TrajectoryEnsemble:
     """Generate the seeded ensemble of edge-state trajectories.
 
@@ -230,27 +249,18 @@ def simulate(config: SimConfig, initial_state: str = "stationary") -> Trajectory
     """
     if initial_state not in INITIAL_STATES:
         raise SimulationError(f"initial_state must be one of {INITIAL_STATES}")
-    n, t, n_edges = config.n, config.t_steps, config.n_edges
-    iu, ju = np.triu_indices(n, k=1)
-
-    positions = np.empty((config.trials, n, 2))
-    distances = np.empty((config.trials, n_edges))
+    t, n_edges = config.t_steps, config.n_edges
+    positions, distances = sample_positions(config)
     states = np.empty((config.trials, t, n_edges), dtype=bool)
 
     # batches of whole trials; a trial too large for one batch is stepped in
     # batches of its edges
     per_stream = _blocks(t)
-    for trials in _chunks(config.trials, n_edges * per_stream + _blocks(2 * n)):
-        upos = _stream_uniforms(config.seed, _indices(trials), _POSITION_LANE,
-                                2 * n)[:, :, 0]
-        pos = config.domain.points_from_uniforms(
-            upos[:, :n].ravel(), upos[:, n:].ravel()).reshape(-1, n, 2)
-        dist = np.hypot(pos[:, iu, 0] - pos[:, ju, 0], pos[:, iu, 1] - pos[:, ju, 1])
+    for trials in _chunks(config.trials, n_edges * per_stream):
+        dist = distances[trials]
         p_on = channel.connection_probability(dist, config.params)
         p01, p10 = channel.transition_probabilities(dist, config.params)
-        positions[trials] = pos
-        distances[trials] = dist
-        for edges in _chunks(n_edges, per_stream * len(pos)):
+        for edges in _chunks(n_edges, per_stream * len(dist)):
             states[trials, :, edges] = _step_chains(
                 config.seed, trials, edges, t, p_on[:, edges], p01[:, edges],
                 p10[:, edges], initial_state)

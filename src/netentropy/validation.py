@@ -75,7 +75,7 @@ def check_distance_histogram(level: str):
     for dom in geometry.DOMAINS:
         cfg = simulator.SimConfig(n=2, t_steps=1, trials=n, seed=20240801,
                                   domain=dom, params=PAPER_PARAMS)
-        d = simulator.simulate(cfg).distances[:, 0]
+        d = simulator.sample_positions(cfg)[1][:, 0]
         edges = np.linspace(0.0, dom.diameter, bins + 1)
         observed, _ = np.histogram(d, bins=edges)
         cdf = dom.distance_density().cdf(edges)

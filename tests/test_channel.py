@@ -1,5 +1,7 @@
 """Rayleigh-fading link model: connection function, LCR, transition matrix."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -272,6 +274,105 @@ class TestClampRadii:
         assert transition_probabilities(r10 * (1 - 1e-12), params)[1] < hi
         (r01,) = [r for r in radii if r != r10]
         assert_p01_radius(params, r01, geometry.SQUARE.diameter)
+
+
+def scalar_clamp_radii(params, diameter):
+    """Clamp radii of one point by the scalar k-section, one bracket at a
+    time: the reference the lockstep batch solve reproduces bit for bit."""
+    if params.nu == 0.0:
+        return []
+    hi = 1.0 - channel.CLAMP_EPS
+    r_lo = max(params.r0 * channel._TINY ** (1.0 / params.eta), channel._TINY)
+    ends = np.array([r_lo, diameter])
+    p01, p10 = channel._unclamped_rates(ends, params)
+    radii = []
+    if r_lo < diameter and p01[0] > hi and p01[1] <= hi:
+        lo, up = ends.view(np.int64).tolist()
+        while up - lo > 1:
+            bits = lo + ((up - lo) * channel._KSECTION_STEPS[:, 0]).astype(np.int64)
+            above = channel._unclamped_rates(bits.view(np.float64), params)[0] > hi
+            i = int(above.argmin())
+            if above[i]:
+                lo = int(bits[-1])
+            else:
+                up = int(bits[i])
+                if i:
+                    lo = int(bits[i - 1])
+        radii.append(float(np.int64(up).view(np.float64)))
+    if p10[1] > hi:
+        radii.append(params.r0 * (hi * params.B / (SQRT_2PI * params.nu)) ** (2.0 / params.eta))
+    return sorted(float(r) for r in radii if 0.0 < r < diameter)
+
+
+def mixed_batch(rng, eta):
+    """A batch of points holding 0, 1 and 2 clamp radii at B = 1 kHz: nu = 0
+    has none, small nu only the p01 radius, large nu the p10 one as well."""
+    nu = np.concatenate([[0.0, 1.0, 500.0], 10.0 ** rng.uniform(-2.0, 4.0, 5)])
+    r0 = 10.0 ** rng.uniform(-1.3, 0.2, len(nu))
+    return ChannelParams(r0, eta, nu, 1e3)
+
+
+class TestBatchedPoints:
+    """A batch of points (r0 and nu arrays) gives each point its own numbers."""
+
+    @pytest.mark.parametrize("domain", geometry.DOMAINS, ids=geometry.DOMAIN_NAMES)
+    @pytest.mark.parametrize("eta", [2.0, 3.0, 4.0])
+    def test_lockstep_radii_equal_scalar_solves(self, domain, eta, rng):
+        params = mixed_batch(rng, eta)
+        radii = clamp_radii(params, domain.diameter)
+        want = [scalar_clamp_radii(params.at(j), domain.diameter)
+                for j in range(len(params.r0))]
+        assert radii == want
+        assert {len(r) for r in want} == {0, 1, 2}
+
+    @pytest.mark.parametrize("domain", geometry.DOMAINS, ids=geometry.DOMAIN_NAMES)
+    def test_admissibility_equals_point_reports(self, domain, rng):
+        params = ChannelParams(10.0 ** rng.uniform(-1.5, 0.3, 9), 3.0,
+                               10.0 ** rng.uniform(-1.0, 6.0, 9), 1e5)
+        rep = slow_fading_report(params, domain)
+        assert 0 < np.count_nonzero(rep.admissible) < 9
+        for j in range(9):
+            point = slow_fading_report(params.at(j), domain)
+            for name, value in dataclasses.asdict(point).items():
+                assert np.ndim(getattr(rep, name)) == (name != "threshold")
+                assert value == (getattr(rep, name) if name == "threshold"
+                                 else getattr(rep, name)[j]), name
+            # the reported maximum is the kernel's over the scanned grid
+            grid = np.geomspace(point.scan_lo_p01, domain.diameter, channel._N_SCAN)
+            assert point.max_p01 == channel._unclamped_rates(grid, params.at(j))[0].max()
+
+    def test_rates_broadcast_over_points(self, rng):
+        params = mixed_batch(rng, 3.0)
+        r = np.linspace(0.0, 1.4, 50)[:, None]
+        p01, p10 = transition_probabilities(r, params)
+        assert p01.shape == (50, len(params.r0))
+        for j in range(len(params.r0)):
+            one = transition_probabilities(r[:, 0], params.at(j))
+            assert np.array_equal(p01[:, j], one[0]) and np.array_equal(p10[:, j], one[1])
+            assert np.array_equal(connection_probability(r, params)[:, j],
+                                  connection_probability(r[:, 0], params.at(j)))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(r0=[0.5, 0.7], eta=2.0, nu=[1.0, 2.0, 3.0], B=12e6),
+        dict(r0=[[0.5, 0.7]], eta=2.0, nu=500.0, B=12e6),
+        dict(r0=0.7, eta=[2.0, 3.0], nu=500.0, B=12e6),
+        dict(r0=0.7, eta=2.0, nu=500.0, B=[1e6, 2e6]),
+        dict(r0=[0.5, 0.0], eta=2.0, nu=500.0, B=12e6),
+        dict(r0=0.7, eta=2.0, nu=[500.0, -1.0], B=12e6),
+        dict(r0=[0.5, np.nan], eta=2.0, nu=500.0, B=12e6),
+    ])
+    def test_batch_validation(self, kwargs):
+        with pytest.raises(ChannelError):
+            ChannelParams(**kwargs)
+
+    def test_batch_arrays_are_read_only_copies(self):
+        r0 = np.array([0.5, 0.7])
+        params = ChannelParams(r0, 2.0, 500.0, 12e6)
+        r0[0] = 9.0
+        assert params.r0.tolist() == [0.5, 0.7] and params.nu.tolist() == [500.0, 500.0]
+        assert params.shape == (2,) and params.at(1) == ChannelParams(0.7, 2.0, 500.0, 12e6)
+        with pytest.raises(ValueError):
+            params.r0[0] = 1.0
 
 
 def snr_on_fraction(r, params, rng, n):

@@ -1,14 +1,16 @@
 """CLI subcommands: schema, determinism, config handling, exit codes."""
 
+import dataclasses
 import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from netentropy import cli, validation
+from netentropy import cli, quadrature, validation
 
 
 # sha256 of the CSV each command writes, recorded with one integrand call
@@ -107,24 +109,40 @@ class TestBoundsSweep:
         assert code == 0 and len(rows) == cli.DEFAULT_GRID_POINTS
 
     def test_quadrature_failure_marks_row_and_exit(self, capsys, monkeypatch):
-        from netentropy.quadrature import QuadratureError
+        # the middle point's integrand turns NaN, so its column alone runs
+        # to max_depth; the batch's other columns converge as on their own
+        real = cli.entropy.integrate_piecewise
 
-        calls = []
+        def failing(f, breakpoints, spec):
+            def integrand(r):
+                vals = f(r)
+                vals[..., 1] = np.nan
+                return vals
+            return real(integrand, breakpoints, dataclasses.replace(spec, max_depth=6))
 
-        def flaky(n, domain, params, spec=None):
-            calls.append(params.r0)
-            if len(calls) == 2:
-                raise QuadratureError("forced failure")
-            return real(n, domain, params)
-
-        real = cli.entropy.entropy_rate_bounds
-        monkeypatch.setattr(cli.entropy, "entropy_rate_bounds", flaky)
-        code, out = run(capsys, "bounds-sweep", "--grid", "0.5,0.7,0.9",
-                        "--eta", "2", "--domain", "square")
+        argv = ["bounds-sweep", "--eta", "2", "--domain", "square"]
+        monkeypatch.setattr(cli.entropy, "integrate_piecewise", failing)
+        code, out = run(capsys, *argv, "--grid", "0.5,0.7,0.9")
+        monkeypatch.undo()
         assert code == 1
         _, rows = rows_of(out)
         assert [r["status"] for r in rows] == ["ok", "error:quadrature", "ok"]
         assert rows[1]["per_edge_lower"] == "nan"
+        for row, value in ((rows[0], "0.5"), (rows[2], "0.9")):
+            _, (alone,) = rows_of(run(capsys, *argv, "--grid", value)[1])
+            assert row == alone
+
+    def test_batch_split_at_the_column_cap(self, tmp_path, monkeypatch):
+        # a 4-column cap splits each 10-point (domain, eta) batch in three
+        argv = ["bounds-sweep", "--variable", "nu", "--grid",
+                ",".join(str(v) for v in np.geomspace(1.0, 1e4, 10)),
+                "--eta", "2,4", "--symbol-rate", "1e4"]
+        whole, split = tmp_path / "whole.csv", tmp_path / "split.csv"
+        assert cli.main(argv + ["--out", str(whole)]) == 0
+        monkeypatch.setattr(quadrature, "_MAX_NODES_PER_CALL", 4 * 16)
+        assert quadrature.max_columns() == 4
+        assert cli.main(argv + ["--out", str(split)]) == 0
+        assert split.read_bytes() == whole.read_bytes()
 
     def test_small_n_rejected(self, capsys):
         code, _ = run(capsys, "bounds-sweep", "--grid", "0.7", "--nodes", "1")

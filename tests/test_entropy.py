@@ -351,6 +351,44 @@ class TestClassOracle:
                 mass = shorter_mass
 
 
+class TestBatchedPoints:
+    """A batch of points shares its quadratures, and every point gets the
+    numbers of its one-column quadrature bit for bit."""
+
+    @pytest.mark.parametrize("name", geometry.DOMAIN_NAMES)
+    @pytest.mark.parametrize("eta", [2.0, 3.0, 4.0])
+    def test_batch_equals_single_points(self, name, eta, rng):
+        dom = geometry.domain_from_name(name)
+        # B = 1 kHz: nu = 0 has no clamp radius, small nu one, large nu two
+        nu = np.concatenate([[0.0, 1.0, 500.0], 10.0 ** rng.uniform(-2.0, 4.0, 3)])
+        params = ChannelParams(10.0 ** rng.uniform(-1.3, 0.2, len(nu)), eta, nu, 1e3)
+        assert {len(r) for r in channel.clamp_radii(params, dom.diameter)} == {0, 1, 2}
+        moments = entropy.batch_edge_moments(dom, params)
+        bounds = entropy.batch_entropy_rate_bounds(50, dom, params)
+        for j in range(len(nu)):
+            point = params.at(j)
+            assert moments[j] == edge_moments(dom, point)
+            if isinstance(bounds[j], Exception):
+                with pytest.raises(type(bounds[j])):
+                    entropy_rate_bounds(50, dom, point)
+            else:
+                assert bounds[j] == entropy_rate_bounds(50, dom, point)
+
+    def test_r0_grid_shares_one_quadrature(self, monkeypatch, rng):
+        params = ChannelParams(np.sort(10.0 ** rng.uniform(-1.3, 0.15, 8)), 3.0, 500.0, 12e6)
+        calls = []
+
+        def counted(f, breakpoints, *args):
+            calls.append(np.shape(breakpoints))
+            return integrate_piecewise(f, breakpoints, *args)
+
+        monkeypatch.setattr(entropy, "integrate_piecewise", counted)
+        moments = entropy.batch_edge_moments(geometry.DISK, params)
+        monkeypatch.undo()
+        assert calls == [(3, 8)]   # 0, the p01 clamp radius and D, for all 8 points
+        assert moments == [edge_moments(geometry.DISK, params.at(j)) for j in range(8)]
+
+
 class TestQuadratureBehavior:
     @pytest.mark.parametrize("point", sorted(GOLDEN_EDGE_MOMENTS))
     def test_edge_moments_digest(self, point):

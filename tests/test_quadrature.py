@@ -166,3 +166,99 @@ class TestEvaluationContract:
         for arr in (xg, wg):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+def poles(c):
+    """wavy with its pole at -c: one problem per entry of c, which broadcasts
+    against the trailing axis of x, so a smaller c takes more depths."""
+    def f(x):
+        return np.exp(-x) * np.sin(9.0 * x) + 1.0 / (c + x)
+    return f
+
+
+def poles_stack(c):
+    def f(x):
+        return np.stack([poles(c)(x), np.cos(5.0 * x), x ** 3 * c])
+    return f
+
+
+# (K, B) breakpoints: four problems over different intervals, three segments each
+BATCH_POINTS = np.array([[0.0, 0.1, -0.5, 1.0],
+                         [0.37, 0.5, 0.0, 1.5],
+                         [1.25, 0.9, 0.8, 2.0],
+                         [2.0, 1.4, 1.1, 3.5]])
+BATCH_POLES = np.array([0.02, 0.6, 0.7, 0.3])
+
+
+class TestBatchContract:
+    """Problems along a trailing column axis: one positional node array per
+    call, node axis first, at most the cap over all columns, and each column
+    equal bit for bit to its problem integrated alone."""
+
+    def recorded(self, f):
+        calls = []
+
+        def integrand(*args):
+            assert len(args) == 1
+            calls.append(args[0].copy())
+            return f(args[0])
+        return integrand, calls
+
+    @pytest.mark.parametrize("family", [poles, poles_stack])
+    def test_columns_equal_problems_alone(self, family):
+        integrand, calls = self.recorded(family(BATCH_POLES))
+        got = integrate_piecewise(integrand, BATCH_POINTS, TIGHT)
+        depths = []
+        for j, c in enumerate(BATCH_POLES):
+            want, depth = reference_integral(family(c), BATCH_POINTS[:, j], TIGHT)
+            depths.append(depth)
+            assert np.array_equal(got[..., j], want)
+        assert len(set(depths)) > 1, "every column converged at the same depth"
+        # every depth fits one call here: one call per depth up to the last
+        assert len(calls) == max(depths) + 1
+        for nodes in calls:
+            assert nodes.ndim == 2 and nodes.shape[1] == len(BATCH_POLES)
+            assert nodes.size <= quadrature._MAX_NODES_PER_CALL
+            assert np.all((nodes >= BATCH_POINTS[0]) & (nodes <= BATCH_POINTS[-1]))
+
+    @pytest.mark.parametrize("cap", [64, 200, 1000])
+    def test_cap_counts_every_column(self, cap, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_NODES_PER_CALL", cap)
+        spec = QuadratureSpec(nodes_per_panel=16, rel_tolerance=1e-13)
+        integrand, calls = self.recorded(poles_stack(BATCH_POLES))
+        got = integrate_piecewise(integrand, BATCH_POINTS, spec)
+        for j, c in enumerate(BATCH_POLES):
+            want, _ = reference_integral(poles_stack(c), BATCH_POINTS[:, j], spec)
+            assert np.array_equal(got[:, j], want)
+        assert max(nodes.size for nodes in calls) <= cap
+
+    def test_column_count_checked(self):
+        width = quadrature.max_columns()
+        pts = np.tile([[0.0], [1.0]], (1, width + 1))
+        for wrong in (pts, pts[:, :0]):
+            with pytest.raises(ValueError):
+                integrate_piecewise(np.exp, wrong)
+        assert integrate_piecewise(np.exp, pts[:, :width]).shape == (width,)
+
+    def test_failed_column_is_isolated(self):
+        def integrand(x):
+            vals = poles_stack(BATCH_POLES)(x)
+            vals[..., 2] = np.nan
+            return vals
+
+        spec = QuadratureSpec(rel_tolerance=1e-13, max_depth=6)
+        with pytest.raises(QuadratureError) as info:
+            integrate_piecewise(integrand, BATCH_POINTS, spec)
+        err = info.value
+        assert err.converged.tolist() == [True, True, False, True]
+        assert np.all(np.isnan(err.result[:, 2]))
+        for j in (0, 1, 3):
+            want, _ = reference_integral(poles_stack(BATCH_POLES[j]),
+                                         BATCH_POINTS[:, j], spec)
+            assert np.array_equal(err.result[:, j], want)
+
+    def test_columns_must_increase(self):
+        pts = BATCH_POINTS.copy()
+        pts[2, 1] = pts[1, 1]
+        with pytest.raises(ValueError):
+            integrate_piecewise(poles(BATCH_POLES), pts)

@@ -213,11 +213,13 @@ class TestGolden:
 
     @pytest.mark.parametrize("chunk_blocks", [1, 7, 74])
     def test_chunking_invariant(self, monkeypatch, chunk_blocks):
-        # simulate needs 2 blocks per edge stream, 10 * 2 + 3 per trial, the
-        # pinned run 2 per trial.  1 steps every stream alone; 7 steps
-        # simulate's trials one at a time in edge batches of 3 and the pinned
-        # run in 3-trial batches; 74 steps simulate in 3-trial batches and the
-        # pinned run in one.  3 divides neither the 10 edges nor the 10 trials
+        # simulate needs 2 blocks per edge stream, 10 * 2 per trial, and 3 per
+        # trial for positions, the pinned run 2 per trial.  1 steps every
+        # stream alone; 7 steps simulate's trials one at a time in edge
+        # batches of 3, draws positions in 2-trial batches and steps the
+        # pinned run in 3-trial batches; 74 steps simulate in 3-trial batches
+        # and the pinned run in one.  3 divides neither the 10 edges nor the
+        # 10 trials
         cfg = SimConfig(n=5, t_steps=6, trials=10, seed=2 ** 64 - 7,
                         domain=geometry.DISK, params=FAST)
         ref = [simulate(cfg, state) for state in simulator.INITIAL_STATES]
@@ -255,6 +257,20 @@ class TestSimulate:
             dom = geometry.domain_from_name(name)
             ens = simulate(small_config(paper_params, domain=dom))
             assert np.all(dom.contains(ens.positions.reshape(-1, 2)))
+
+    def test_sample_positions_steps_no_chain(self, paper_params, monkeypatch):
+        # validate's distance histogram draws its pairs this way
+        cfg = small_config(paper_params, domain=geometry.TRIANGLE)
+        ens = simulate(cfg)
+
+        def no_chains(*args):
+            raise AssertionError("an edge chain was stepped")
+
+        monkeypatch.setattr(simulator, "_step_chains", no_chains)
+        monkeypatch.setattr(simulator, "_CHUNK_BLOCKS", 7)
+        positions, distances = simulator.sample_positions(cfg)
+        assert np.array_equal(positions, ens.positions)
+        assert np.array_equal(distances, ens.distances)
 
     def test_distances_match_positions(self, paper_params):
         ens = simulate(small_config(paper_params))
