@@ -10,8 +10,11 @@ entries are clamped into [0, 1 - CLAMP_EPS] and every clamping event is
 counted in :data:`clamp_diagnostics`.
 
 The unclamped flip probabilities are written once, in ``_unclamped_rates``,
-which the clamped rates, the clamp radii and the admissibility scan all read.
-The p01 clamp radius is found on that kernel by an in-repo bracketed solve,
+which the clamped rates, the clamp radii and the admissibility report all
+read.  With x = (r/r0)**eta, p10 grows as sqrt(x) and p01 as
+g(x) = sqrt(x)/(e**x - 1), where g' has the sign of (e**x - 1)/2 - x e**x,
+negative as 1 - e**-x < x < 2x: p01 strictly falls in r, p10 strictly rises.
+The p01 clamp radius is found on the kernel by an in-repo bracketed solve,
 a k-section over float64 bit patterns, so the module needs only numpy.
 
 :class:`ChannelParams` may hold a batch of points: r0 and nu as 1-D arrays,
@@ -35,13 +38,13 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 CLAMP_EPS = 1e-12
 # admissibility threshold for the slow-fading approximation
 THETA_SLOW = 0.1
-# radii below r_min are excluded from detailed-balance assertions and scans
+# radii below r_min are excluded from detailed-balance assertions and checks
 R_MIN_FRACTION = 1e-6
-# the off->on entry is only scanned where the off state has occupancy
+# the off->on entry is only checked where the off state has occupancy
 # at least OCCUPANCY_FLOOR (the approximation diverges as occupancy -> 0)
 OCCUPANCY_FLOOR = 1e-5
-# geometric grid points per entry of the admissibility scan
-_N_SCAN = 2048
+# largest float64: x = (r/r0)**eta is held at or below it
+_HUGE = np.finfo(float).max
 # smallest normal float64: the lower bracket of the p01 clamp radius in x
 _TINY = np.finfo(float).tiny
 # where each round of the p01 clamp radius solve cuts its bracket: 255 cuts
@@ -167,16 +170,21 @@ def _shape_back(r, params: ChannelParams, out: np.ndarray):
     return out if np.ndim(r) or params.shape else float(out[0])
 
 
+def _x(r, params: ChannelParams):
+    """x = (r/r0)**eta, held at the largest float where the power overflows,
+    so that e**-x factors take their limit 0 there, not inf * 0 = NaN."""
+    with np.errstate(over="ignore"):
+        return np.minimum((r / params.r0) ** params.eta, _HUGE)
+
+
 def connection_probability(r, params: ChannelParams):
     """Probability exp(-(r/r0)**eta) that a link at distance r is on."""
-    arr = _check_r(r)
-    return _shape_back(r, params, np.exp(-((arr / params.r0) ** params.eta)))
+    return _shape_back(r, params, np.exp(-_x(_check_r(r), params)))
 
 
 def level_crossing_rate(r, params: ChannelParams):
     """Threshold crossing rate of the fading SNR at distance r, in Hz."""
-    arr = _check_r(r)
-    x = (arr / params.r0) ** params.eta
+    x = _x(_check_r(r), params)
     return _shape_back(r, params, SQRT_2PI * np.sqrt(x) * params.nu * np.exp(-x))
 
 
@@ -186,10 +194,11 @@ def _unclamped_rates(r, params: ChannelParams):
     p10 = LCR / (p * B) and p01 = LCR / ((1 - p) * B).  At r == 0 exactly,
     p01 is 0 by convention (the off state is unreachable there).  At r > 0
     p01 diverges like 1/sqrt(x) as x -> 0, so where x = (r/r0)**eta
-    underflows to 0 it is +inf (0 for a frozen chain, nu == 0).  ``r`` is
-    used as the caller holds it, a float for root finding or an array.
+    underflows to 0 it is +inf (0 for a frozen chain, nu == 0); where it
+    overflows p01 is 0.  ``r`` is used as the caller holds it, a float for
+    root finding or an array.
     """
-    x = (r / params.r0) ** params.eta
+    x = _x(r, params)
     sqrt_x = np.sqrt(x)
     # p10: the exp(-x) of the LCR cancels against the on probability
     p10 = SQRT_2PI * params.nu * sqrt_x / params.B
@@ -242,14 +251,11 @@ def clamp_radii(params: ChannelParams, diameter: float):
     r_lo = np.maximum(pts.r0 * _TINY ** (1.0 / pts.eta), _TINY)
     ends = np.stack([r_lo, np.full_like(r_lo, diameter)])
     # both rates are 0 for a frozen chain (nu == 0): it has no radius
-    kernel = params.squeezed()
-    p01, p10 = _unclamped_rates(ends, kernel)
+    p01, p10 = _unclamped_rates(ends, params.squeezed())
     r01 = np.full(len(r_lo), np.nan)
     # p01 diverges at 0+: the bracket holds unless p01 is below cap throughout
     solve = (r_lo < diameter) & (p01[0] > hi) & (p01[1] <= hi)
-    if solve.all():
-        r01 = _p01_cap_radius(kernel, ends)
-    elif solve.any():
+    if solve.any():
         r01[solve] = _p01_cap_radius(pts.at(solve).squeezed(), ends[:, solve])
     radii = []
     for j in range(len(r_lo)):
@@ -293,55 +299,39 @@ def _p01_cap_radius(params: ChannelParams, ends: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SlowFadingReport:
-    """Admissibility scan of the slow-fading approximation over a domain;
-    for a batch of points each field but ``threshold`` is an array with one
-    entry per point."""
+    """Admissibility of the slow-fading approximation over a domain; for a
+    batch of points each field but ``threshold`` is an array with one entry
+    per point.  As p01 falls and p10 rises in r (see the module docstring),
+    max_p01 is p01 at ``occupancy_radius`` and max_p10 is p10 at the
+    diameter: the maxima over the intervals each entry is checked on."""
 
     max_p01: float
-    argmax_p01: float
     max_p10: float
-    argmax_p10: float
-    scan_lo_p01: float
-    scan_lo_p10: float
+    occupancy_radius: float
     threshold: float
     admissible: bool
 
 
 def slow_fading_report(params: ChannelParams, domain: Domain) -> SlowFadingReport:
-    """Scan unclamped transition probabilities over [0, D] for admissibility.
+    """Check the unclamped transition probabilities on [0, D] for admissibility.
 
     Both entries must stay at or below THETA_SLOW.  The off->on entry is
-    scanned only where the off state has occupancy >= OCCUPANCY_FLOOR: below
-    that radius the approximation diverges while describing transitions out
-    of a state the edge essentially never occupies.  A batch is scanned with
-    one kernel call per entry, and its report holds one array entry per point.
+    checked only from the occupancy radius, where 1 - p(r) = OCCUPANCY_FLOOR
+    (held in [R_MIN_FRACTION * D, D]): below it the approximation diverges
+    while describing transitions out of a state the edge essentially never
+    occupies.  One kernel call evaluates both ends of every point.
     """
     pts = params.batch()
     D = domain.diameter
-    r_min = R_MIN_FRACTION * D
-    # occupancy floor radius: 1 - p(r) = OCCUPANCY_FLOOR
-    x_occ = -np.log1p(-OCCUPANCY_FLOOR)
-    r_occ = pts.r0 * x_occ ** (1.0 / pts.eta)
-    lo_p01 = np.minimum(np.maximum(r_min, r_occ), D)
-    lo_p10 = min(r_min, D)
-
-    # a frozen chain (nu == 0) scans as all zeros: admissible, argmax at lo
-    grid01 = np.geomspace(lo_p01, D, _N_SCAN)                 # (_N_SCAN, n)
-    grid10 = np.geomspace(lo_p10, D, _N_SCAN)[:, None]
-    p01 = _unclamped_rates(grid01, params.squeezed())[0]
-    p10 = _unclamped_rates(grid10, params.squeezed())[1]
-    cols = np.arange(len(lo_p01))
-    i01 = np.argmax(p01, axis=0)
-    i10 = np.argmax(p10, axis=0)
-    max_p01, max_p10 = p01[i01, cols], p10[i10, cols]
+    r_occ = pts.r0 * (-np.log1p(-OCCUPANCY_FLOOR)) ** (1.0 / pts.eta)
+    r_occ = np.minimum(np.maximum(R_MIN_FRACTION * D, r_occ), D)
+    p01, p10 = _unclamped_rates(np.stack([r_occ, np.full_like(r_occ, D)]),
+                                params.squeezed())
     fields = dict(
-        max_p01=max_p01,
-        argmax_p01=grid01[i01, cols],
-        max_p10=max_p10,
-        argmax_p10=grid10[i10, 0],
-        scan_lo_p01=lo_p01,
-        scan_lo_p10=np.full(len(cols), lo_p10),
-        admissible=(max_p01 <= THETA_SLOW) & (max_p10 <= THETA_SLOW),
+        max_p01=p01[0],
+        max_p10=p10[1],
+        occupancy_radius=r_occ,
+        admissible=(p01[0] <= THETA_SLOW) & (p10[1] <= THETA_SLOW),
     )
     if not params.shape:
         fields = {name: value[0].item() for name, value in fields.items()}

@@ -99,7 +99,7 @@ def cmd_bounds_sweep(args: argparse.Namespace) -> int:
                                    eta=eta, B=args.symbol_rate,
                                    nu=grid if args.variable == "nu" else args.nu)
             admissible = slow_fading_report(params, domain).admissible
-            bounds = entropy.batch_entropy_rate_bounds(args.nodes, domain, params)
+            bounds = entropy.entropy_rate_bounds(args.nodes, domain, params)
             points = params.batch()
             for r0, nu, ok, b in zip(points.r0, points.nu, admissible, bounds):
                 if isinstance(b, QuadratureError):

@@ -121,15 +121,27 @@ def _moment_integrand(domain: Domain, params: ChannelParams):
     return integrand
 
 
-def batch_edge_moments(domain: Domain, params: ChannelParams,
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> list:
-    """:class:`EdgeMoments` at every point of a batch (a scalar ``params`` is
-    a batch of one).
+def _per_point(params: ChannelParams, results: list):
+    """``results``, one per point of ``params.batch()``, in the shape of
+    ``params``: the list for a batch; for one point its result, or its
+    error raised."""
+    if params.shape:
+        return results
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    Points with the same number of breakpoints share one stacked quadrature,
-    one column each, at most :func:`~netentropy.quadrature.max_columns` at a
-    time.  Returns one entry per point: its EdgeMoments, or the
-    :class:`QuadratureError` of a point whose refinement did not converge.
+
+def edge_moments(domain: Domain, params: ChannelParams,
+                 spec: QuadratureSpec = DEFAULT_SPEC):
+    """Integrate every :class:`EdgeMoments` field against f_R in one stacked
+    quadrature, shared by the points of a batch with the same number of
+    breakpoints, at most :func:`~netentropy.quadrature.max_columns` at a time.
+
+    One point returns its EdgeMoments or raises the :class:`QuadratureError`
+    of a refinement that did not converge; a batch returns one entry per
+    point, its EdgeMoments or its QuadratureError.
     """
     points = params.batch()
     breakpoints = integration_breakpoints(domain, points)
@@ -151,17 +163,7 @@ def batch_edge_moments(domain: Domain, params: ChannelParams,
                 values, error, converged = exc.result, exc, exc.converged
             for k, j in enumerate(cols):
                 out[j] = EdgeMoments(*values[:, k].tolist()) if converged[k] else error
-    return out
-
-
-def edge_moments(domain: Domain, params: ChannelParams,
-                 spec: QuadratureSpec = DEFAULT_SPEC) -> EdgeMoments:
-    """Integrate every :class:`EdgeMoments` field against f_R in one stacked
-    quadrature: the one-point case of :func:`batch_edge_moments`."""
-    (moments,) = batch_edge_moments(domain, params, spec)
-    if isinstance(moments, QuadratureError):
-        raise moments
-    return moments
+    return _per_point(params, out)
 
 
 @dataclass(frozen=True)
@@ -211,16 +213,18 @@ class EntropyRateBounds:
         return self.edge_count * self.per_edge_joint_upper
 
 
-def batch_entropy_rate_bounds(n: int, domain: Domain, params: ChannelParams,
-                              spec: QuadratureSpec = DEFAULT_SPEC) -> list:
-    """Sandwich bounds at every point of a batch, from
-    :func:`batch_edge_moments`.  Returns one entry per point: its
-    :class:`EntropyRateBounds`, or the error that stopped it, a
-    :class:`QuadratureError` or the ValueError of bounds out of order."""
+def entropy_rate_bounds(n: int, domain: Domain, params: ChannelParams,
+                        spec: QuadratureSpec = DEFAULT_SPEC):
+    """Sandwich bounds on the entropy rate of the n-node temporal network,
+    from :func:`edge_moments`.  One point returns its
+    :class:`EntropyRateBounds` or raises the error that stopped it, a
+    :class:`QuadratureError` or the ValueError of bounds out of order; a
+    batch returns one entry per point, its bounds or its error."""
     if n < 2:
         raise ValueError(f"node count must be >= 2, got {n}")
+    moments = edge_moments(domain, params, spec)
     out = []
-    for m in batch_edge_moments(domain, params, spec):
+    for m in moments if params.shape else [moments]:
         if isinstance(m, EdgeMoments):
             try:
                 m = EntropyRateBounds(per_edge_lower=m.lower,
@@ -229,17 +233,7 @@ def batch_entropy_rate_bounds(n: int, domain: Domain, params: ChannelParams,
             except ValueError as exc:
                 m = exc
         out.append(m)
-    return out
-
-
-def entropy_rate_bounds(n: int, domain: Domain, params: ChannelParams,
-                        spec: QuadratureSpec = DEFAULT_SPEC) -> EntropyRateBounds:
-    """Sandwich bounds on the entropy rate of the n-node temporal network:
-    the one-point case of :func:`batch_entropy_rate_bounds`."""
-    (bounds,) = batch_entropy_rate_bounds(n, domain, params, spec)
-    if isinstance(bounds, Exception):
-        raise bounds
-    return bounds
+    return _per_point(params, out)
 
 
 @dataclass(frozen=True)

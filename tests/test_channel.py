@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from netentropy import channel, geometry
@@ -147,6 +149,23 @@ class TestTransitionMatrix:
         frozen = ChannelParams(r0=0.7, eta=19.0, nu=0.0, B=12e6)
         assert transition_probabilities(r, frozen) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("r0, eta", [(1e-3, 120.0), (0.05, 300.0), (0.1, 400.0)])
+    def test_overflowed_power_takes_its_limits(self, r0, eta):
+        # x = (r/r0)**eta overflows at r = 1: p(r), the LCR and p01 vanish
+        # there, without an overflow warning (warnings are errors here)
+        params = ChannelParams(r0=r0, eta=eta, nu=500.0, B=12e6)
+        with np.errstate(over="ignore"):
+            assert np.float64(1.0 / r0) ** eta == np.inf
+        hi = 1.0 - channel.CLAMP_EPS
+        assert connection_probability(1.0, params) == 0.0
+        assert level_crossing_rate(1.0, params) == 0.0
+        assert transition_probabilities(1.0, params) == (0.0, hi)
+        p01, p10 = transition_probabilities(np.array([1.0, 1.4]), params)
+        assert p01.tolist() == [0.0, 0.0] and p10.tolist() == [hi, hi]
+        frozen = ChannelParams(r0=r0, eta=eta, nu=0.0, B=12e6)
+        assert transition_probabilities(1.0, frozen) == (0.0, 0.0)
+        assert level_crossing_rate(1.0, frozen) == 0.0
+
     def test_clamping_recorded(self, paper_params):
         clamp_diagnostics.reset()
         # deep in the divergence region
@@ -200,11 +219,55 @@ class TestSlowFading:
     @pytest.mark.parametrize("params", [ChannelParams(0.7, 2.0, 500.0, 12e6),
                                         ChannelParams(0.3, 4.0, 1000.0, 12e6)])
     def test_scan_shares_the_rate_kernel(self, params):
-        # below the cap the scanned maxima are the clamped rates bit for bit
+        # below the cap the reported maxima are the clamped rates bit for bit
         for name in geometry.DOMAIN_NAMES:
-            rep = slow_fading_report(params, geometry.domain_from_name(name))
-            assert rep.max_p01 == transition_probabilities(rep.argmax_p01, params)[0]
-            assert rep.max_p10 == transition_probabilities(rep.argmax_p10, params)[1]
+            domain = geometry.domain_from_name(name)
+            rep = slow_fading_report(params, domain)
+            assert rep.max_p01 == transition_probabilities(rep.occupancy_radius, params)[0]
+            assert rep.max_p10 == transition_probabilities(domain.diameter, params)[1]
+
+
+def scan_reference(params, domain):
+    """(occupancy radius, max p01, max p10) from the 2,048-point geometric
+    scan of the unclamped rates that the admissibility report's two ends
+    replaced: p01 on [occupancy radius, D], p10 on [R_MIN_FRACTION * D, D].
+    Arrays for a batch, floats for one point."""
+    pts, D = params.batch(), domain.diameter
+    x_occ = -np.log1p(-channel.OCCUPANCY_FLOOR)
+    lo = np.minimum(np.maximum(channel.R_MIN_FRACTION * D, pts.r0 * x_occ ** (1.0 / pts.eta)), D)
+    grid01 = np.geomspace(lo, D, 2048)
+    grid10 = np.geomspace(min(channel.R_MIN_FRACTION * D, D), D, 2048)[:, None]
+    p01 = channel._unclamped_rates(grid01, params.squeezed())[0].max(axis=0)
+    p10 = channel._unclamped_rates(grid10, params.squeezed())[1].max(axis=0)
+    if not params.shape:
+        return lo[0].item(), p01[0].item(), p10[0].item()
+    return lo, p01, p10
+
+
+def log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(r0=log_uniform(1e-3, 10.0), eta=st.floats(0.5, 12.0), nu=log_uniform(1.0, 1e5),
+       B=log_uniform(1e3, 1e8), name=st.sampled_from(geometry.DOMAIN_NAMES),
+       seed=st.integers(0, 2**32 - 1))
+@example(r0=1e-3, eta=120.0, nu=1e5, B=1e3, name="square", seed=0)
+@example(r0=0.1, eta=400.0, nu=1e6, B=1e3, name="disk", seed=1)
+@example(r0=0.05, eta=400.0, nu=1.0, B=1e3, name="triangle", seed=2)
+@example(r0=0.7, eta=2.0, nu=0.0, B=1e3, name="square", seed=3)
+def test_report_ends_are_the_scan_maxima(r0, eta, nu, B, name, seed):
+    params = ChannelParams(r0, eta, nu, B)
+    domain = geometry.domain_from_name(name)
+    rep = slow_fading_report(params, domain)
+    lo, max_p01, max_p10 = scan_reference(params, domain)
+    assert rep.occupancy_radius == lo
+    assert rep.max_p01 == max_p01 and rep.max_p10 == max_p10
+    assert rep.admissible == (max(max_p01, max_p10) <= channel.THETA_SLOW)
+    # the monotonicity the ends rest on, on sorted random radii in (0, D)
+    r = np.sort(np.random.default_rng(seed).uniform(0.0, domain.diameter, 64))
+    p01, p10 = channel._unclamped_rates(r, params)
+    assert np.all(p01[1:] <= p01[:-1]) and np.all(p10[1:] >= p10[:-1])
 
 
 def brentq_p01_radius(params, diameter):
@@ -337,9 +400,9 @@ class TestBatchedPoints:
                 assert np.ndim(getattr(rep, name)) == (name != "threshold")
                 assert value == (getattr(rep, name) if name == "threshold"
                                  else getattr(rep, name)[j]), name
-            # the reported maximum is the kernel's over the scanned grid
-            grid = np.geomspace(point.scan_lo_p01, domain.diameter, channel._N_SCAN)
-            assert point.max_p01 == channel._unclamped_rates(grid, params.at(j))[0].max()
+            # the reported maxima are the kernel's over the replaced scan
+            assert (point.occupancy_radius, point.max_p01, point.max_p10) \
+                == scan_reference(params.at(j), domain)
 
     def test_rates_broadcast_over_points(self, rng):
         params = mixed_batch(rng, 3.0)

@@ -132,6 +132,14 @@ class TestBoundsSweep:
             _, (alone,) = rows_of(run(capsys, *argv, "--grid", value)[1])
             assert row == alone
 
+    def test_overflowed_power_rows_ok(self, capsys):
+        # at eta = 300 and r0 = 0.05, (r/r0)**eta overflows inside every
+        # domain; the rates take their limits there, so every row converges
+        code, out = run(capsys, "bounds-sweep", "--domain", "square,disk,triangle",
+                        "--eta", "300", "--grid", "0.05,0.7")
+        _, rows = rows_of(out)
+        assert code == 0 and [r["status"] for r in rows] == ["ok"] * 6
+
     def test_batch_split_at_the_column_cap(self, tmp_path, monkeypatch):
         # a 4-column cap splits each 10-point (domain, eta) batch in three
         argv = ["bounds-sweep", "--variable", "nu", "--grid",

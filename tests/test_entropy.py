@@ -363,8 +363,8 @@ class TestBatchedPoints:
         nu = np.concatenate([[0.0, 1.0, 500.0], 10.0 ** rng.uniform(-2.0, 4.0, 3)])
         params = ChannelParams(10.0 ** rng.uniform(-1.3, 0.2, len(nu)), eta, nu, 1e3)
         assert {len(r) for r in channel.clamp_radii(params, dom.diameter)} == {0, 1, 2}
-        moments = entropy.batch_edge_moments(dom, params)
-        bounds = entropy.batch_entropy_rate_bounds(50, dom, params)
+        moments = edge_moments(dom, params)
+        bounds = entropy_rate_bounds(50, dom, params)
         for j in range(len(nu)):
             point = params.at(j)
             assert moments[j] == edge_moments(dom, point)
@@ -383,10 +383,22 @@ class TestBatchedPoints:
             return integrate_piecewise(f, breakpoints, *args)
 
         monkeypatch.setattr(entropy, "integrate_piecewise", counted)
-        moments = entropy.batch_edge_moments(geometry.DISK, params)
+        moments = edge_moments(geometry.DISK, params)
         monkeypatch.undo()
         assert calls == [(3, 8)]   # 0, the p01 clamp radius and D, for all 8 points
         assert moments == [edge_moments(geometry.DISK, params.at(j)) for j in range(8)]
+
+    def test_one_point_raises_and_a_batch_returns_errors(self, paper_params):
+        hopeless = QuadratureSpec(nodes_per_panel=8, rel_tolerance=1e-15, max_depth=1)
+        batch = ChannelParams([0.5, 0.7], 2.0, 500.0, 12e6)
+        for fn, args in ((edge_moments, ()), (entropy_rate_bounds, (50,))):
+            with pytest.raises(QuadratureError):
+                fn(*args, SQ, paper_params, hopeless)
+            results = fn(*args, SQ, batch, hopeless)
+            assert len(results) == 2
+            assert all(isinstance(r, QuadratureError) for r in results)
+            # a batch of one is a list too, and holds the point's own result
+            assert fn(*args, SQ, batch.at([1])) == [fn(*args, SQ, paper_params)]
 
 
 class TestQuadratureBehavior:
