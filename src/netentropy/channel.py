@@ -11,7 +11,8 @@ counted in :data:`clamp_diagnostics`.
 
 The unclamped flip probabilities are written once, in ``_unclamped_rates``,
 which the clamped rates, the clamp radii and the admissibility report all
-read.  With x = (r/r0)**eta, p10 grows as sqrt(x) and p01 as
+read; the p01 clamp-radius solve reads its p01 half, ``_unclamped_p01``,
+alone.  With x = (r/r0)**eta, p10 grows as sqrt(x) and p01 as
 g(x) = sqrt(x)/(e**x - 1), where g' has the sign of (e**x - 1)/2 - x e**x,
 negative as 1 - e**-x < x < 2x: p01 strictly falls in r, p10 strictly rises.
 The p01 clamp radius is found on the kernel by an in-repo bracketed solve,
@@ -172,9 +173,11 @@ def _shape_back(r, params: ChannelParams, out: np.ndarray):
 
 def _x(r, params: ChannelParams):
     """x = (r/r0)**eta, held at the largest float where the power overflows,
-    so that e**-x factors take their limit 0 there, not inf * 0 = NaN."""
+    so that e**-x factors take their limit 0 there, not inf * 0 = NaN.  A
+    float r is taken as a numpy one, whose power overflows to inf where a
+    Python float's raises."""
     with np.errstate(over="ignore"):
-        return np.minimum((r / params.r0) ** params.eta, _HUGE)
+        return np.minimum((np.asarray(r, dtype=float) / params.r0) ** params.eta, _HUGE)
 
 
 def connection_probability(r, params: ChannelParams):
@@ -189,29 +192,31 @@ def level_crossing_rate(r, params: ChannelParams):
 
 
 def _unclamped_rates(r, params: ChannelParams):
-    """Unclamped flip probabilities (p01, p10) at distance r.
+    """Unclamped flip probabilities (p01, p10) at distance r, a float or an
+    array.
 
     p10 = LCR / (p * B) and p01 = LCR / ((1 - p) * B).  At r == 0 exactly,
     p01 is 0 by convention (the off state is unreachable there).  At r > 0
     p01 diverges like 1/sqrt(x) as x -> 0, so where x = (r/r0)**eta
     underflows to 0 it is +inf (0 for a frozen chain, nu == 0); where it
-    overflows p01 is 0.  ``r`` is used as the caller holds it, a float for
-    root finding or an array.
+    overflows p01 is 0.
     """
-    x = _x(r, params)
-    sqrt_x = np.sqrt(x)
+    p01, lcr = _unclamped_p01(r, params)
     # p10: the exp(-x) of the LCR cancels against the on probability
-    p10 = SQRT_2PI * params.nu * sqrt_x / params.B
-    # p01 = sqrt(2 pi) nu sqrt(x) e^-x / ((1 - e^-x) B); -expm1(-x) = 1 - e^-x
+    return p01, lcr / params.B
+
+
+def _unclamped_p01(r, params: ChannelParams):
+    """The p01 of :func:`_unclamped_rates`, and the LCR without its exp(-x)
+    factor, sqrt(2 pi) nu sqrt(x), from which p10 follows."""
+    x = _x(r, params)
+    lcr = SQRT_2PI * params.nu * np.sqrt(x)
+    # p01 = lcr e^-x / ((1 - e^-x) B); -expm1(-x) = 1 - e^-x
     denom = -np.expm1(-x)
     limit = np.where(r > 0.0, np.where(params.nu > 0.0, np.inf, 0.0), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p01 = np.where(
-            denom > 0.0,
-            SQRT_2PI * params.nu * sqrt_x * np.exp(-x) / (denom * params.B),
-            limit,
-        )
-    return p01, p10
+        p01 = np.where(denom > 0.0, lcr * np.exp(-x) / (denom * params.B), limit)
+    return p01, lcr
 
 
 def transition_probabilities(r, params: ChannelParams):
@@ -291,7 +296,7 @@ def _p01_cap_radius(params: ChannelParams, ends: np.ndarray) -> np.ndarray:
         bits[1:-1] = ends[0] + (width * _KSECTION_STEPS).astype(np.int64)
         # the first pattern where p01 is not above the cap: never the lower
         # end, where it is, and at the latest the upper end, where it is not
-        i = (_unclamped_rates(bits.view(np.float64), params)[0] > hi).argmin(axis=0)
+        i = (_unclamped_p01(bits.view(np.float64), params)[0] > hi).argmin(axis=0)
         ends = bits[i + _CELL, cols]
         width = ends[1] - ends[0]
     return ends[1].view(np.float64)

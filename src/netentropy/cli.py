@@ -5,12 +5,17 @@ CSV (header first, 12 significant digits, no locale dependence).
 Parameters may come from flags or from a plain ``key = value`` configuration
 file (``--config``); flags override the file.  Keys are the command's long
 option names, with dashes or underscores, except ``out``, ``summary`` and
-``config``; any other key is an error.
+``config``; any other key is an error.  The file's pairs are parsed as flags
+placed before the command line's own, so argparse casts and checks them as
+it does flags, and a flag given on the command line wins.
+
+The parser is built once per process; parsing never changes it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from typing import List, Optional, Sequence
@@ -72,9 +77,6 @@ def _channel_params(args: argparse.Namespace) -> ChannelParams:
 
 
 def cmd_bounds_sweep(args: argparse.Namespace) -> int:
-    # argparse checks choices only on flags, not on defaults set from --config
-    if args.variable not in ("r0", "nu"):
-        raise ValueError("sweep variable must be 'r0' or 'nu'")
     if not args.domain or not args.eta:
         raise ValueError("domain and eta lists must be non-empty")
     domains = [domain_from_name(name) for name in args.domain]
@@ -164,8 +166,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     domain = domain_from_name(args.domain)
     params = _channel_params(args)
-    bounds = entropy.entropy_rate_bounds(2, domain, params)
-    H, h = entropy.block_entropy_profile(domain, params, args.t_max)
+    # the bounds and the profile integrate over the same breakpoints
+    breakpoints = entropy.integration_breakpoints(domain, params)
+    bounds = entropy.entropy_rate_bounds(2, domain, params, breakpoints=breakpoints)
+    H, h = entropy.block_entropy_profile(domain, params, args.t_max,
+                                         breakpoints=breakpoints)
     rows = [(t, float(H[t - 1]), float(h[t - 1]),
              bounds.per_edge_lower, bounds.per_edge_upper)
             for t in range(1, args.t_max + 1)]
@@ -199,8 +204,8 @@ def _add_model_flags(parser: argparse.ArgumentParser, lists: bool, nodes: bool =
                         help="key = value parameter file; flags override it")
 
 
-def build_parser():
-    """The argument parser and its subcommand parsers, keyed by name."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="netentropy",
         description="Entropy-rate bounds of time-varying wireless networks",
@@ -241,11 +246,17 @@ def build_parser():
     _add_model_flags(orc, lists=False, nodes=False)
     orc.set_defaults(func=cmd_oracle)
 
-    return parser, sub.choices
+    return parser
 
 
-def _apply_config(command: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Make the --config values defaults of ``command``; argparse casts them.
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building it costs more than most parses."""
+    return build_parser()
+
+
+def _config_flags(args: argparse.Namespace) -> List[str]:
+    """The --config file's pairs as ``--key=value`` flags.
 
     Valid keys are the command's options except --out, --summary and --config.
     """
@@ -254,16 +265,17 @@ def _apply_config(command: argparse.ArgumentParser, args: argparse.Namespace) ->
     unknown = sorted(set(values) - options)
     if unknown:
         raise ValueError(f"{args.config}: unknown key(s) {', '.join(unknown)}")
-    command.set_defaults(**values)
+    return [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, commands = build_parser()
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None) is not None:
-            _apply_config(commands[args.command], args)
-            args = parser.parse_args(argv)
+            # argv[0] is the command: the top-level parser has no options
+            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
         return args.func(args)
     except (ValueError, simulator.SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

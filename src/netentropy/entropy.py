@@ -134,17 +134,23 @@ def _per_point(params: ChannelParams, results: list):
 
 
 def edge_moments(domain: Domain, params: ChannelParams,
-                 spec: QuadratureSpec = DEFAULT_SPEC):
+                 spec: QuadratureSpec = DEFAULT_SPEC, breakpoints=None):
     """Integrate every :class:`EdgeMoments` field against f_R in one stacked
     quadrature, shared by the points of a batch with the same number of
     breakpoints, at most :func:`~netentropy.quadrature.max_columns` at a time.
+
+    ``breakpoints`` are those :func:`integration_breakpoints` returns for
+    ``domain`` and ``params``, solved here when not given.
 
     One point returns its EdgeMoments or raises the :class:`QuadratureError`
     of a refinement that did not converge; a batch returns one entry per
     point, its EdgeMoments or its QuadratureError.
     """
     points = params.batch()
-    breakpoints = integration_breakpoints(domain, points)
+    if breakpoints is None:
+        breakpoints = integration_breakpoints(domain, params)
+    if not params.shape:
+        breakpoints = [breakpoints]
     by_count = {}
     for j, pts in enumerate(breakpoints):
         by_count.setdefault(len(pts), []).append(j)
@@ -214,15 +220,15 @@ class EntropyRateBounds:
 
 
 def entropy_rate_bounds(n: int, domain: Domain, params: ChannelParams,
-                        spec: QuadratureSpec = DEFAULT_SPEC):
+                        spec: QuadratureSpec = DEFAULT_SPEC, breakpoints=None):
     """Sandwich bounds on the entropy rate of the n-node temporal network,
-    from :func:`edge_moments`.  One point returns its
+    from :func:`edge_moments` over ``breakpoints``.  One point returns its
     :class:`EntropyRateBounds` or raises the error that stopped it, a
     :class:`QuadratureError` or the ValueError of bounds out of order; a
     batch returns one entry per point, its bounds or its error."""
     if n < 2:
         raise ValueError(f"node count must be >= 2, got {n}")
-    moments = edge_moments(domain, params, spec)
+    moments = edge_moments(domain, params, spec, breakpoints)
     out = []
     for m in moments if params.shape else [moments]:
         if isinstance(m, EdgeMoments):
@@ -303,9 +309,10 @@ def _extensions(t: int):
 
 
 def _class_probabilities(domain: Domain, params: ChannelParams, t_max: int,
-                         spec: QuadratureSpec) -> np.ndarray:
+                         spec: QuadratureSpec, breakpoints=None) -> np.ndarray:
     """Probability of each sequence of each length-t_max class, integrated
-    over the pair distance."""
+    over the pair distance between ``breakpoints``, solved here when not
+    given."""
     first, _, _, _, n01, n00, n10, n11 = _sequence_classes(t_max).T
     # integer powers, so that the frozen chain's 0**0 is 1
     exponents = np.arange(t_max)[:, None]
@@ -320,26 +327,28 @@ def _class_probabilities(domain: Domain, params: ChannelParams, t_max: int,
         return (start[first] * powers[0, n01] * powers[1, n00]
                 * powers[2, n10] * powers[3, n11] * w)
 
-    probs = integrate_piecewise(
-        integrand, integration_breakpoints(domain, params), spec)
+    if breakpoints is None:
+        breakpoints = integration_breakpoints(domain, params)
+    probs = integrate_piecewise(integrand, breakpoints, spec)
     return np.maximum(probs, 0.0)
 
 
 def block_entropy_profile(domain: Domain, params: ChannelParams, t_max: int,
-                          spec: QuadratureSpec = DEFAULT_SPEC):
+                          spec: QuadratureSpec = DEFAULT_SPEC, breakpoints=None):
     """Exact H_t and h_t for t = 1..t_max.
 
     The 2**t_max on/off sequences fall into classes of equal probability
     (first state, runs, zeros; see :func:`_sequence_classes`), 134 at
     t_max = 12.  The quadrature integrates one component per class, the
-    probability of each of its sequences; shorter horizons marginalize the
-    last step class by class.
+    probability of each of its sequences, over ``breakpoints``
+    (:func:`integration_breakpoints`, solved here when not given); shorter
+    horizons marginalize the last step class by class.
 
     Returns (H, h): arrays of length t_max, H[k] = H_{k+1}.
     """
     if not 1 <= t_max <= MAX_ORACLE_STEPS:
         raise ValueError(f"t must be in [1, {MAX_ORACLE_STEPS}], got {t_max}")
-    probs = _class_probabilities(domain, params, t_max, spec)
+    probs = _class_probabilities(domain, params, t_max, spec, breakpoints)
     H = np.empty(t_max)
     for t in range(t_max, 0, -1):
         H[t - 1] = float(_sequence_classes(t)[:, 3] @ _xlog2(probs))

@@ -165,6 +165,10 @@ class TestTransitionMatrix:
         frozen = ChannelParams(r0=r0, eta=eta, nu=0.0, B=12e6)
         assert transition_probabilities(1.0, frozen) == (0.0, 0.0)
         assert level_crossing_rate(1.0, frozen) == 0.0
+        # the kernel takes a Python float as numpy does, not raising OverflowError
+        p01, p10 = channel._unclamped_rates(1.0, params)
+        assert p01 == 0.0 and p10 > hi
+        assert channel._unclamped_rates(1.0, frozen) == (0.0, 0.0)
 
     def test_clamping_recorded(self, paper_params):
         clamp_diagnostics.reset()

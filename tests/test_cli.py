@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netentropy import cli, quadrature, validation
+from netentropy import channel, cli, quadrature, validation
 
 
 # sha256 of the CSV each command writes, recorded with one integrand call
@@ -277,6 +277,24 @@ class TestConfigFile:
         assert err.startswith(f"error: {cfg}: ") and key in err
         assert not out.exists()
 
+    def test_config_leaves_no_defaults_behind(self, tmp_path):
+        # the parser outlives a call: a later call without --config must not
+        # see the earlier call's file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t-max = 6\ndomain = triangle\neta = 3\nr0 = 0.4\n")
+        for tag, argv in (("before", []), ("cfg", ["--config", str(cfg)]), ("after", [])):
+            assert cli.main(["oracle", *argv, "--out", str(tmp_path / f"{tag}.csv")]) == 0
+        out = {tag: (tmp_path / f"{tag}.csv").read_bytes() for tag in ("before", "cfg", "after")}
+        assert out["after"] == out["before"] != out["cfg"]
+
+    def test_bad_choice_fails_like_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("variable = eta\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds-sweep", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "argument --variable: invalid choice: 'eta'" in capsys.readouterr().err
+
     def test_bad_value_fails_like_the_flag(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("grid = 0.7\nnodes = abc\n")
@@ -349,16 +367,18 @@ class TestFileErrors:
         assert err.startswith("error:") and "x.csv" in err
 
 
-# Runs every command but validate in a fresh interpreter and lists the scipy
-# modules it loaded; the library's runtime path needs only numpy.
+# Runs every command in a fresh interpreter and lists the scipy modules it
+# loaded; the library's runtime path needs only numpy.
 _IMPORT_PROBE = """
-import sys
+import contextlib, io, sys
 from netentropy import cli
 assert cli.main(["bounds-sweep", "--grid", "0.7", "--eta", "2",
                  "--domain", "square", "--out", "sweep.csv"]) == 0
 assert cli.main(["oracle", "--t-max", "2", "--out", "oracle.csv"]) == 0
 assert cli.main(["simulate", "--nodes", "3", "--steps", "2", "--trials", "2",
                  "--out", "snap.csv"]) == 0
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["validate", "--level", "fast"]) == 0
 print(",".join(sorted(m for m in sys.modules
                       if m == "scipy" or m.startswith("scipy."))))
 """
@@ -371,6 +391,24 @@ def test_commands_load_no_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t-max = 3\n")
+    for argv in (["oracle", "--t-max", "2"], ["oracle", "--config", str(cfg)],
+                 ["bounds-sweep", "--grid", "0.7", "--eta", "2", "--domain", "square"]):
+        assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert len(built) == 1
 
 
 class TestValidate:
@@ -410,6 +448,24 @@ class TestOracle:
         lower = float(rows[-1]["per_edge_lower"])
         upper = float(rows[-1]["per_edge_upper"])
         assert lower <= increments[-1] <= upper
+
+    def test_one_clamp_radius_solve_per_call(self, tmp_path, monkeypatch):
+        # the bounds and the profile share one set of breakpoints; the last
+        # point clamps both p01 and p10
+        calls = []
+        real = channel.clamp_radii
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "clamp_radii", counted)
+        for extra in ([], ["--domain", "disk", "--eta", "3"],
+                      ["--r0", "0.3", "--symbol-rate", "1000"]):
+            calls.clear()
+            assert cli.main(["oracle", "--t-max", "4", *extra,
+                             "--out", str(tmp_path / "o.csv")]) == 0
+            assert len(calls) == 1
 
     def test_rejects_excessive_t(self, capsys):
         code, _ = run(capsys, "oracle", "--t-max", "13")
