@@ -188,7 +188,12 @@ def connection_probability(r, params: ChannelParams):
 def level_crossing_rate(r, params: ChannelParams):
     """Threshold crossing rate of the fading SNR at distance r, in Hz."""
     x = _x(_check_r(r), params)
-    return _shape_back(r, params, SQRT_2PI * np.sqrt(x) * params.nu * np.exp(-x))
+    return _shape_back(r, params, _lcr_factor(x, params) * np.exp(-x))
+
+
+def _lcr_factor(x, params: ChannelParams):
+    """The LCR without its exp(-x) factor: sqrt(2 pi) nu sqrt(x)."""
+    return SQRT_2PI * params.nu * np.sqrt(x)
 
 
 def _unclamped_rates(r, params: ChannelParams):
@@ -207,10 +212,10 @@ def _unclamped_rates(r, params: ChannelParams):
 
 
 def _unclamped_p01(r, params: ChannelParams):
-    """The p01 of :func:`_unclamped_rates`, and the LCR without its exp(-x)
-    factor, sqrt(2 pi) nu sqrt(x), from which p10 follows."""
+    """The p01 of :func:`_unclamped_rates`, and the :func:`_lcr_factor`
+    from which p10 follows."""
     x = _x(r, params)
-    lcr = SQRT_2PI * params.nu * np.sqrt(x)
+    lcr = _lcr_factor(x, params)
     # p01 = lcr e^-x / ((1 - e^-x) B); -expm1(-x) = 1 - e^-x
     denom = -np.expm1(-x)
     limit = np.where(r > 0.0, np.where(params.nu > 0.0, np.inf, 0.0), 0.0)

@@ -5,8 +5,7 @@ disk of radius 1/sqrt(pi) and the equilateral triangle of side 2/3**(1/4).
 Each is one :class:`Domain` record of the domain table: its diameter, the
 closed-form probability density f_R(r) of the distance between two independent
 uniform points inside it, the radii where that density is not smooth
-(quadrature must split there), its uniform-to-point map, membership test and
-a longest chord.
+(quadrature must split there) and its uniform-to-point map.
 """
 
 from __future__ import annotations
@@ -16,6 +15,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from .quadrature import integrate_piecewise, max_columns
+
 _SQRT3 = np.sqrt(3.0)
 _DISK_RADIUS = 1.0 / np.sqrt(np.pi)
 _TRI_SIDE = 2.0 / 3.0 ** 0.25
@@ -23,10 +24,6 @@ _TRI_HEIGHT = 0.5 * _SQRT3 * _TRI_SIDE
 _TRI_VERTICES = np.array(
     [[0.0, 0.0], [_TRI_SIDE, 0.0], [0.5 * _TRI_SIDE, _TRI_HEIGHT]]
 )
-# membership slack at the boundary, in coordinate units
-_CONTAINS_TOL = 1e-12
-# grid points of the numeric CDF
-_CDF_GRID = 20001
 
 
 class DomainError(ValueError):
@@ -37,9 +34,8 @@ class DomainError(ValueError):
 class Domain:
     """A unit-area convex region in the plane, one row of the domain table.
 
-    ``kinks`` are the interior radii where f_R is not smooth and ``chord``
-    the ends of a longest chord; the private fields hold the domain's
-    formulas (f_R, uniforms to points, membership of coordinates x, y).
+    ``kinks`` are the interior radii where f_R is not smooth; the private
+    fields hold the domain's formulas (f_R, uniforms to points).
     Instances are immutable; obtain them from :func:`domain_from_name` or the
     module-level singletons ``SQUARE``, ``DISK``, ``TRIANGLE``.
     """
@@ -47,16 +43,8 @@ class Domain:
     name: str
     diameter: float
     kinks: Tuple[float, ...]
-    chord: Tuple[Tuple[float, float], Tuple[float, float]]
     _pdf: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     _points: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
-    _contains: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Membership test for an (..., 2) array of coordinates, to within
-        _CONTAINS_TOL of the boundary."""
-        pts = np.asarray(points, dtype=float)
-        return self._contains(pts[..., 0], pts[..., 1])
 
     def points_from_uniforms(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Map two independent U(0,1) arrays to uniform points, shape (len, 2)."""
@@ -83,26 +71,6 @@ def _triangle_points(u, v):
     e1 = _TRI_VERTICES[1] - _TRI_VERTICES[0]
     e2 = _TRI_VERTICES[2] - _TRI_VERTICES[0]
     return _TRI_VERTICES[0] + np.outer(u, e1) + np.outer(v, e2)
-
-
-def _square_contains(x, y):
-    tol = _CONTAINS_TOL
-    return (x >= -tol) & (x <= 1 + tol) & (y >= -tol) & (y <= 1 + tol)
-
-
-def _disk_contains(x, y):
-    return x ** 2 + y ** 2 <= _DISK_RADIUS ** 2 + _CONTAINS_TOL
-
-
-def _triangle_contains(x, y):
-    # half-plane tests against the three triangle edges (CCW order)
-    inside = np.ones(np.shape(x), dtype=bool)
-    for k in range(3):
-        a = _TRI_VERTICES[k]
-        b = _TRI_VERTICES[(k + 1) % 3]
-        cross = (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
-        inside &= cross >= -_CONTAINS_TOL
-    return inside
 
 
 def domain_from_name(name: str) -> Domain:
@@ -162,12 +130,9 @@ def _triangle_pdf(r: np.ndarray) -> np.ndarray:
 
 
 # the domain table
-SQUARE = Domain("square", np.sqrt(2.0), (1.0,), ((0.0, 0.0), (1.0, 1.0)),
-                _square_pdf, _square_points, _square_contains)
-DISK = Domain("disk", 2.0 * _DISK_RADIUS, (), ((-_DISK_RADIUS, 0.0), (_DISK_RADIUS, 0.0)),
-              _disk_pdf, _disk_points, _disk_contains)
-TRIANGLE = Domain("triangle", _TRI_SIDE, (_TRI_HEIGHT,), ((0.0, 0.0), (_TRI_SIDE, 0.0)),
-                  _triangle_pdf, _triangle_points, _triangle_contains)
+SQUARE = Domain("square", np.sqrt(2.0), (1.0,), _square_pdf, _square_points)
+DISK = Domain("disk", 2.0 * _DISK_RADIUS, (), _disk_pdf, _disk_points)
+TRIANGLE = Domain("triangle", _TRI_SIDE, (_TRI_HEIGHT,), _triangle_pdf, _triangle_points)
 DOMAINS = (SQUARE, DISK, TRIANGLE)
 _DOMAINS = {d.name: d for d in DOMAINS}
 DOMAIN_NAMES = tuple(_DOMAINS)
@@ -192,15 +157,25 @@ class DistanceDensity:
         out = self.domain._pdf(np.atleast_1d(np.asarray(r, dtype=float)))
         return out if np.ndim(r) else float(out[0])
 
-    def cdf(self, r) -> np.ndarray:
-        """Numeric CDF by composite Simpson integration of the pdf on
-        _CDF_GRID points."""
-        D = self.domain.diameter
-        grid = np.linspace(0.0, D, _CDF_GRID)
-        vals = self.pdf(grid)
-        mids = self.pdf(0.5 * (grid[1:] + grid[:-1]))
-        step = grid[1] - grid[0]
-        simpson = np.zeros_like(grid)
-        simpson[1:] = np.cumsum(step / 6.0 * (vals[:-1] + 4.0 * mids + vals[1:]))
-        out = np.interp(np.asarray(r, dtype=float), grid, np.clip(simpson, 0.0, 1.0))
-        return out if np.ndim(r) else float(out)
+    def interval_probabilities(self, edges) -> np.ndarray:
+        """P(edges[i] <= R < edges[i + 1]) for strictly increasing ``edges``
+        in [0, diameter], integrated by :func:`integrate_piecewise`.
+
+        Each bin is one column with three breakpoints: its two ends and,
+        between them, the kink strictly inside the bin or else the bin's
+        midpoint.  No domain has more than one kink, so f_R is smooth between
+        a column's breakpoints.  Bins go in chunks of :func:`max_columns`.
+        """
+        e = np.asarray(edges, dtype=float)
+        if not (e.ndim == 1 and len(e) >= 2 and np.all(e[1:] > e[:-1])
+                and e[0] >= 0.0 and e[-1] <= self.domain.diameter):
+            raise ValueError("edges must be strictly increasing within "
+                             f"[0, {self.domain.diameter}]")
+        lo, hi = e[:-1], e[1:]
+        mid = 0.5 * (lo + hi)
+        for k in self.domain.kinks:
+            mid = np.where((lo < k) & (k < hi), k, mid)
+        cols = np.stack([lo, mid, hi])
+        step = max_columns()
+        return np.concatenate([integrate_piecewise(self.pdf, cols[:, i:i + step])
+                               for i in range(0, cols.shape[1], step)])

@@ -49,17 +49,25 @@ class QuadratureError(RuntimeError):
         self.converged = converged
 
 
+# cap on nodes per integrand call, counted over all columns, so deep
+# refinement of wide vector integrands (the oracle's per-class stack) stays
+# memory-bounded
+_MAX_NODES_PER_CALL = 4096
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Accuracy knobs for the piecewise Gauss-Legendre integrator."""
+    """Accuracy knobs for the piecewise Gauss-Legendre integrator.  One panel
+    must fit one integrand call, so ``nodes_per_panel`` is at most
+    _MAX_NODES_PER_CALL."""
 
     nodes_per_panel: int = 16
     rel_tolerance: float = 1e-8
     max_depth: int = 12
 
     def __post_init__(self):
-        if self.nodes_per_panel < 8:
-            raise ValueError("nodes_per_panel must be >= 8")
+        if not 8 <= self.nodes_per_panel <= _MAX_NODES_PER_CALL:
+            raise ValueError(f"nodes_per_panel must be in [8, {_MAX_NODES_PER_CALL}]")
         if not (0.0 < self.rel_tolerance < 1.0):
             raise ValueError("rel_tolerance must be in (0, 1)")
         if self.max_depth < 1:
@@ -76,16 +84,10 @@ def _gauss_nodes(order: int):
     return xg, wg
 
 
-# cap on nodes per integrand call, counted over all columns, so deep
-# refinement of wide vector integrands (the oracle's per-class stack) stays
-# memory-bounded
-_MAX_NODES_PER_CALL = 4096
-
-
 def max_columns(spec: QuadratureSpec = DEFAULT_SPEC) -> int:
     """Most columns one :func:`integrate_piecewise` call takes: one panel of
     every column must fit one integrand call."""
-    return max(1, _MAX_NODES_PER_CALL // spec.nodes_per_panel)
+    return _MAX_NODES_PER_CALL // spec.nodes_per_panel
 
 
 def _eval_depth(f, lo, hi, depth: int, order: int, flat: bool):
@@ -101,14 +103,14 @@ def _eval_depth(f, lo, hi, depth: int, order: int, flat: bool):
     bit.  ``flat`` passes nodes as (M,) to a single problem's integrand.
     """
     xg, wg = _gauss_nodes(order)
-    panels_per_call = max(1, _MAX_NODES_PER_CALL // order)
+    panels_per_call = _MAX_NODES_PER_CALL // order
     n_col = lo.shape[1]
     per_seg = 2 ** depth
     edges = np.linspace(lo, hi, per_seg + 1)                  # (per_seg + 1, S, B)
     half = (0.5 * (edges[1:] - edges[:-1])).transpose(1, 0, 2).reshape(-1, n_col)
     mid = (0.5 * (edges[1:] + edges[:-1])).transpose(1, 0, 2).reshape(-1, n_col)
     n_panels = len(half)
-    rows = max(1, panels_per_call // n_col)                   # panels per call
+    rows = panels_per_call // n_col                           # panels per call
 
     sums = None                                               # (B, ..., panels)
     for start in range(0, n_panels, rows):

@@ -270,40 +270,6 @@ def simulate(config: SimConfig, initial_state: str = "stationary") -> Trajectory
                               states=states)
 
 
-def pinned_distance_ensemble(domain: Domain, r: float, params: ChannelParams,
-                             t_steps: int, trials: int, seed: int) -> TrajectoryEnsemble:
-    """Two-node ensemble with both nodes placed at exact distance ``r``.
-
-    The node pair sits on a longest chord of the domain, centered, so any
-    r <= diameter fits.  Edge evolution uses the same keyed streams as
-    :func:`simulate` (edge lane 0); positions consume no randomness.
-    """
-    D = domain.diameter
-    if not 0.0 < r <= D:
-        raise SimulationError(f"pinned distance must be in (0, {D}], got {r}")
-    a, b = np.array(domain.chord)
-    mid = 0.5 * (a + b)
-    unit = (b - a) / np.linalg.norm(b - a)
-    pos = np.stack([mid - 0.5 * r * unit, mid + 0.5 * r * unit])
-
-    config = SimConfig(n=2, t_steps=t_steps, trials=trials, seed=seed,
-                       domain=domain, params=params)
-    p_on = channel.connection_probability(r, params)
-    p01, p10 = channel.transition_probabilities(r, params)
-
-    states = np.empty((trials, t_steps, 1), dtype=bool)
-    for chunk in _chunks(trials, _blocks(t_steps)):
-        states[chunk] = _step_chains(seed, chunk, slice(0, 1), t_steps,
-                                     p_on, p01, p10, "stationary")
-
-    return TrajectoryEnsemble(
-        config=config, initial_state="stationary",
-        positions=np.broadcast_to(pos, (trials, 2, 2)).copy(),
-        distances=np.full((trials, 1), float(r)),
-        states=states,
-    )
-
-
 @dataclass(frozen=True)
 class TransitionFrequencies:
     """Pooled empirical transition matrix with ratio-estimator errors.

@@ -98,8 +98,7 @@ def check_distance_histogram(level: str):
         d = simulator.sample_positions(cfg)[1][:, 0]
         edges = np.linspace(0.0, dom.diameter, bins + 1)
         observed, _ = np.histogram(d, bins=edges)
-        cdf = dom.distance_density().cdf(edges)
-        expected = np.diff(cdf) * n
+        expected = dom.distance_density().interval_probabilities(edges) * n
         keep = expected > 5
         stat = float(np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep]))
         pval = _chi2_sf(stat, int(np.count_nonzero(keep)) - 1)

@@ -5,7 +5,7 @@ import pytest
 
 from netentropy import geometry
 from netentropy.geometry import DomainError, domain_from_name
-from netentropy.quadrature import QuadratureSpec, integrate_piecewise
+from netentropy.quadrature import QuadratureSpec, integrate_piecewise, max_columns
 
 TIGHT = QuadratureSpec(nodes_per_panel=24, rel_tolerance=1e-11, max_depth=16)
 
@@ -33,10 +33,10 @@ def test_unknown_domain_rejected():
 
 
 @pytest.mark.parametrize("name", geometry.DOMAIN_NAMES)
-def test_sampled_points_inside_domain(name, uniform_points):
+def test_sampled_points_inside_domain(name, uniform_points, domain_contains):
     dom = domain_from_name(name)
     pts = uniform_points(dom, 20_000)
-    assert np.all(dom.contains(pts))
+    assert np.all(domain_contains(dom, pts))
 
 
 def test_square_point_support(uniform_points):
@@ -88,18 +88,58 @@ def test_density_mean(name):
     assert mean == pytest.approx(MEAN_DISTANCE[name], abs=1e-9)
 
 
+def simpson_cdf(dom, r):
+    """Test-local reference CDF of the pair distance: composite Simpson
+    integration of f_R on 20,001 points, interpolated linearly."""
+    grid = np.linspace(0.0, dom.diameter, 20001)
+    dens = dom.distance_density()
+    vals = dens.pdf(grid)
+    mids = dens.pdf(0.5 * (grid[1:] + grid[:-1]))
+    step = grid[1] - grid[0]
+    simpson = np.zeros_like(grid)
+    simpson[1:] = np.cumsum(step / 6.0 * (vals[:-1] + 4.0 * mids + vals[1:]))
+    return np.interp(r, grid, np.clip(simpson, 0.0, 1.0))
+
+
+def bin_edges(dom, grid):
+    """1,000 bins, more than one quadrature call holds: ``uniform`` puts
+    every kink strictly inside a bin, ``kink-edge`` puts every kink on an
+    edge (the disk has none, so its two grids are the same)."""
+    if grid == "uniform":
+        return np.linspace(0.0, dom.diameter, 1001)
+    ends = (0.0, *dom.kinks, dom.diameter)
+    bins = 1000 // (len(ends) - 1)
+    return np.concatenate([np.linspace(a, b, bins + 1)[:-1]
+                           for a, b in zip(ends[:-1], ends[1:])] + [[dom.diameter]])
+
+
+@pytest.mark.parametrize("grid", ["uniform", "kink-edge"])
 @pytest.mark.parametrize("name", geometry.DOMAIN_NAMES)
-def test_cdf_matches_density_integral(name):
-    # the numeric CDF gives validate's expected histogram counts
+def test_interval_probabilities_match_density_integral(name, grid):
+    # the bin probabilities give validate's expected histogram counts
     dom = domain_from_name(name)
     dens = dom.distance_density()
-    assert dens.cdf(0.0) == 0.0
-    assert abs(dens.cdf(dom.diameter) - 1.0) <= 1e-12
-    assert np.all(np.diff(dens.cdf(np.linspace(0.0, dom.diameter, 5001))) >= 0.0)
-    for r in np.linspace(0.0, dom.diameter, 38)[1:]:
+    edges = bin_edges(dom, grid)
+    assert len(edges) - 1 > max_columns()
+    for k in dom.kinks:
+        on_edge = np.any(edges == k)
+        assert on_edge if grid == "kink-edge" else not on_edge
+    prob = dens.interval_probabilities(edges)
+    assert prob.shape == (len(edges) - 1,)
+    assert np.all(prob >= 0.0)
+    assert abs(prob.sum() - 1.0) <= 1e-12
+    cumulative = np.cumsum(prob)
+    for r, c in zip(edges[1:], cumulative):
         kinks = [k for k in dom.kinks if k < r]
         exact = integrate_piecewise(dens.pdf, [0.0, *kinks, r], TIGHT)
-        assert abs(dens.cdf(r) - exact) <= 1e-8
+        assert abs(c - exact) <= 1e-10
+
+
+@pytest.mark.parametrize("edges", [[0.0, 0.5, 0.5, 1.0], [0.5, 0.2], [0.3], [-0.1, 0.5],
+                                   [0.0, 2.0]])
+def test_interval_probabilities_reject_bad_edges(edges):
+    with pytest.raises(ValueError):
+        geometry.SQUARE.distance_density().interval_probabilities(edges)
 
 
 def test_distance_pdf_square_values():
@@ -118,11 +158,11 @@ def test_sample_distance_support(name, pair_distances):
 
 @pytest.mark.parametrize("name", geometry.DOMAIN_NAMES)
 def test_sample_distance_ks(name, pair_distances):
-    # KS statistic against the numerically integrated CDF, 1% critical value
+    # KS statistic against the Simpson reference CDF, 1% critical value
     dom = domain_from_name(name)
     n = 1_000_000
     d = np.sort(pair_distances(dom, n))
-    cdf = dom.distance_density().cdf(d)
+    cdf = simpson_cdf(dom, d)
     i = np.arange(1, n + 1)
     ks = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
     assert ks < 1.6276 / np.sqrt(n)
@@ -137,7 +177,7 @@ def test_histogram_matches_density(name, pair_distances):
     d = pair_distances(dom, n)
     edges = np.linspace(0.0, dom.diameter, bins + 1)
     observed, _ = np.histogram(d, bins=edges)
-    expected = np.diff(dom.distance_density().cdf(edges)) * n
+    expected = dom.distance_density().interval_probabilities(edges) * n
     keep = expected > 5
     stat = np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep])
     pval = chi2.sf(stat, np.count_nonzero(keep) - 1)

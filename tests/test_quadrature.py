@@ -56,6 +56,14 @@ def test_spec_validation():
         QuadratureSpec(max_depth=0)
 
 
+def test_spec_fits_one_panel_per_call():
+    # a larger panel would put more than the cap's nodes in every call
+    cap = quadrature._MAX_NODES_PER_CALL
+    with pytest.raises(ValueError):
+        QuadratureSpec(nodes_per_panel=cap + 1)
+    assert quadrature.max_columns(QuadratureSpec(nodes_per_panel=cap)) == 1
+
+
 def test_refinement_agrees_across_depths():
     # accepted result must be stable when the tolerance is tightened
     loose = integrate_piecewise(lambda x: np.exp(-x * x), [0.0, 3.0],

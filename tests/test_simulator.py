@@ -17,7 +17,6 @@ from netentropy.simulator import (
     empirical_block_entropy,
     empirical_transition_frequencies,
     export_snapshots,
-    pinned_distance_ensemble,
     simulate,
     stationarity_check,
 )
@@ -70,8 +69,9 @@ GOLDEN_SIMULATE = {
         "979e9f100ac9b995cae17183bb47d41ffc92b426e45914ce29f654ad997251d6"),
 }
 
-# sha256 of (positions, states) of pinned_distance_ensemble(domain, r, FAST,
-# t_steps, trials, seed), recorded alongside GOLDEN_SIMULATE.  Keys are
+# sha256 of (positions, states) of the test-local pinned_distance_ensemble
+# fixture of conftest.py, called as (domain, r, FAST, t_steps, trials, seed);
+# recorded alongside GOLDEN_SIMULATE.  Keys are
 # (domain, r, t_steps, trials, seed); r None is the domain's diameter.
 GOLDEN_PINNED = {
     ("square", 0.7, 9, 5, 31): (
@@ -204,7 +204,7 @@ class TestGolden:
         assert got == GOLDEN_SIMULATE[case]
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_PINNED, key=str))
-    def test_pinned_digests(self, case):
+    def test_pinned_digests(self, case, pinned_distance_ensemble):
         domain, r, t_steps, trials, seed = case
         dom = geometry.domain_from_name(domain)
         ens = pinned_distance_ensemble(dom, dom.diameter if r is None else r,
@@ -212,7 +212,8 @@ class TestGolden:
         assert (sha256(ens.positions), sha256(ens.states)) == GOLDEN_PINNED[case]
 
     @pytest.mark.parametrize("chunk_blocks", [1, 7, 74])
-    def test_chunking_invariant(self, monkeypatch, chunk_blocks):
+    def test_chunking_invariant(self, monkeypatch, chunk_blocks,
+                                pinned_distance_ensemble):
         # simulate needs 2 blocks per edge stream, 10 * 2 per trial, and 3 per
         # trial for positions, the pinned run 2 per trial.  1 steps every
         # stream alone; 7 steps simulate's trials one at a time in edge
@@ -252,11 +253,11 @@ class TestSimulate:
         assert np.array_equal(few.states, many.states[:3])
         assert np.array_equal(few.positions, many.positions[:3])
 
-    def test_positions_inside_domain(self, paper_params):
+    def test_positions_inside_domain(self, paper_params, domain_contains):
         for name in geometry.DOMAIN_NAMES:
             dom = geometry.domain_from_name(name)
             ens = simulate(small_config(paper_params, domain=dom))
-            assert np.all(dom.contains(ens.positions.reshape(-1, 2)))
+            assert np.all(domain_contains(dom, ens.positions.reshape(-1, 2)))
 
     def test_sample_positions_steps_no_chain(self, paper_params, monkeypatch):
         # validate's distance histogram draws its pairs this way
@@ -323,7 +324,7 @@ class TestTransitionFrequencies:
         assert np.allclose(freq.matrix, np.eye(2))
         assert freq.undefined_rows == ()
 
-    def test_pinned_edge_matches_channel(self, paper_params):
+    def test_pinned_edge_matches_channel(self, paper_params, pinned_distance_ensemble):
         ens = pinned_distance_ensemble(SQ, 0.7, paper_params,
                                        t_steps=400, trials=3000, seed=31)
         freq = empirical_transition_frequencies(ens)
@@ -436,18 +437,19 @@ class TestStationarity:
 
 
 class TestPinnedEnsemble:
-    def test_distance_is_exact(self, paper_params):
+    def test_distance_is_exact(self, paper_params, pinned_distance_ensemble,
+                               domain_contains):
         for name in geometry.DOMAIN_NAMES:
             dom = geometry.domain_from_name(name)
             for r in (0.9, dom.diameter):
                 ens = pinned_distance_ensemble(dom, r, paper_params,
                                                t_steps=3, trials=4, seed=1)
                 assert np.all(ens.distances == r)
-                assert np.all(dom.contains(ens.positions.reshape(-1, 2)))
+                assert np.all(domain_contains(dom, ens.positions.reshape(-1, 2)))
                 gap = np.linalg.norm(ens.positions[:, 1] - ens.positions[:, 0], axis=1)
                 np.testing.assert_allclose(gap, r, rtol=1e-15)
 
-    def test_rejects_out_of_range(self, paper_params):
+    def test_rejects_out_of_range(self, paper_params, pinned_distance_ensemble):
         with pytest.raises(SimulationError):
             pinned_distance_ensemble(SQ, 2.0, paper_params, 3, 4, 1)
 
