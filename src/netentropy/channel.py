@@ -121,17 +121,32 @@ class ChannelParams:
         """Batch shape: () for one point, (n,) for a batch of n points."""
         return np.shape(self.r0)
 
+    @classmethod
+    def _view(cls, r0, eta, nu, B) -> "ChannelParams":
+        """Parameters of points of validated ones, made without running
+        :meth:`__post_init__` again; array r0 and nu are made read-only."""
+        view = object.__new__(cls)
+        for name, value in (("r0", r0), ("eta", eta), ("nu", nu), ("B", B)):
+            if np.ndim(value):
+                value.flags.writeable = False
+            object.__setattr__(view, name, value)
+        return view
+
     def batch(self) -> "ChannelParams":
         """These parameters as a batch: themselves, or a batch of one point."""
         if self.shape:
             return self
-        return ChannelParams([self.r0], self.eta, [self.nu], self.B)
+        return ChannelParams._view(np.array([self.r0], dtype=float), self.eta,
+                                   np.array([self.nu], dtype=float), self.B)
 
     def at(self, index) -> "ChannelParams":
         """The points of the batch that ``index`` selects; an integer gives
         one point."""
         points = self.batch()
-        return ChannelParams(points.r0[index], self.eta, points.nu[index], self.B)
+        r0, nu = points.r0[index], points.nu[index]
+        if not np.size(r0):
+            raise ChannelError("the index selects no point")
+        return ChannelParams._view(r0, self.eta, nu, self.B)
 
     def squeezed(self) -> "ChannelParams":
         """A batch of one point as that point; one point or a longer batch as

@@ -125,10 +125,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                      seed=args.seed, domain=domain_from_name(args.domain),
                                      params=_channel_params(args))
     ensemble = simulator.simulate(sim_config)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with open(args.out, "wb") as fh:
         simulator.export_snapshots(ensemble, fh)
 
-    rows = [("mean_edge_density", "", "", float(ensemble.states.mean()))]
+    states = ensemble.states
+    rows = [("mean_edge_density", "", "", np.count_nonzero(states) / states.size)]
     if sim_config.t_steps >= 2:
         freq = simulator.empirical_transition_frequencies(ensemble)
         for a in (0, 1):

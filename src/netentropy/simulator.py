@@ -8,11 +8,15 @@ SC'11): stream (trial, lane) is the sequence of 64-bit words of the blocks at
 counter ``[k, 0, trial, lane]``, k = 1, 2, ..., under the key
 ``[seed, 0]``, each word mapped to the double ``(word >> 11) * 2**-53``.
 Lane e < 2**62 drives edge e; the position lane sits at 2**62 (x coordinates
-from the first n draws, y from the next n).  The blocks come from an in-repo
-numpy kernel, checked in the tests against ``np.random.Philox`` started at
-counter ``[0, 0, trial, lane]``, which emits block k = 1 first.  As every
-stream is addressed by its counter, the simulator generates and steps whole
-batches of trials at once, and any batching gives bit-identical ensembles.
+from the first n draws, y from the next n).  An edge's draws are only ever
+compared with a probability p, and u < p holds exactly where the integer
+``word >> 11 < ceil(p * 2**53)``, so the edge lanes are stepped on the words
+and never made doubles.  The blocks come from an in-repo numpy kernel,
+checked in the tests against ``np.random.Philox`` started at counter
+``[0, 0, trial, lane]``, which emits block k = 1 first.  As every stream is
+addressed by its counter, the simulator generates and steps tiles of streams,
+a batch of trials by a slice of their edges, and any tiling gives
+bit-identical ensembles.
 """
 
 from __future__ import annotations
@@ -37,12 +41,13 @@ _SHIFT32 = _U64(32)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-# Philox blocks generated per batch of streams: bounds the temporary working
-# set (about a hundred bytes per block) whatever n, t and the trial count, as
-# long as one stream of t draws fits
-_CHUNK_BLOCKS = 8192
-# export_snapshots passes fh.write at most this many characters at a time, or
-# one (trial, step) block of lines where that is longer
+# Philox blocks generated per tile of streams: bounds the temporary working
+# set (about 90 bytes per block, 3 MB) whatever n, t and the trial count, as
+# long as one stream of t draws fits.  Tiles of 32768 blocks stepped
+# simulate's n = 50, T = 100 runs faster than tiles of 8192 or 16384
+_CHUNK_BLOCKS = 32768
+# export_snapshots passes fh.write at most this many bytes at a time, or one
+# (trial, step) block of lines where that is longer
 _WRITE_BYTES = 256 * 1024
 INITIAL_STATES = ("stationary", "all_off", "all_on")
 # stationarity_check flags a step whose density drifts by more standard errors
@@ -151,28 +156,50 @@ def _indices(chunk: slice) -> np.ndarray:
     return np.arange(chunk.start, chunk.stop, dtype=_U64)
 
 
+def _thresholds(p):
+    """ceil(p * 2**53) as uint64, for p in [0, 1].
+
+    A word w maps to the double u = (w >> 11) * 2**-53, and u < p holds
+    exactly where the integer w >> 11 < p * 2**53 (a power-of-two scaling,
+    so exact), that is where w >> 11 < ceil(p * 2**53).
+    """
+    return np.ceil(np.multiply(p, 2.0 ** 53)).astype(_U64)
+
+
 def _step_chains(seed: int, trials: slice, edges: slice, t_steps: int,
                  p_on, p01, p10, initial_state: str) -> np.ndarray:
     """(trials, t_steps, edges) states of the edge chains of these indices.
 
-    Edge e of trial i draws stream (i, e); its first uniform decides a
+    Edge e of trial i draws stream (i, e); its first draw decides a
     stationary start, the one at step s > 0 whether the chain flips from
     step s - 1.  The probabilities broadcast against (trials, edges).
 
-    An off chain turns on where u < p01 and an on chain stays on where
-    u >= p10, so each step is ``(previous & differs) ^ turn_on`` with
+    The draws are never made doubles: each word's top 53 bits are compared
+    with :func:`_thresholds` of the probabilities, which gives the same
+    tests.  An off chain turns on where u < p01 and an on chain stays on
+    where u >= p10, so each step is ``(previous & differs) ^ turn_on`` with
     ``differs`` where those two tests disagree.
     """
+    k = np.arange(1, _blocks(t_steps) + 1, dtype=_U64)
+    # block-major words, (blocks, trials, edges) each: the trials share the
+    # (block, lane) products of round 2
+    words = _philox4x64((k[:, None, None], _U64(0), _indices(trials)[:, None],
+                         _indices(edges)), seed)
     # step-major, so that every step reads and writes contiguous slices
-    u = np.ascontiguousarray(
-        _stream_uniforms(seed, _indices(trials), _indices(edges), t_steps)
-        .transpose(1, 0, 2))
-    turn_on = u < p01
-    differs = u >= p10
+    turn_on = np.empty((t_steps,) + words[0].shape[1:], dtype=bool)
+    differs = np.empty_like(turn_on)
+    on_below, stay_from = _thresholds(p01), _thresholds(p10)
+    for j, w in enumerate(words):
+        # word j of block k is the draw of step 4 (k - 1) + j
+        w >>= _U64(11)
+        steps = slice(j, t_steps, 4)
+        count = len(turn_on[steps])
+        np.less(w[:count], on_below, out=turn_on[steps])
+        np.greater_equal(w[:count], stay_from, out=differs[steps])
     differs ^= turn_on
-    st = np.empty(u.shape, dtype=bool)
+    st = np.empty_like(turn_on)
     if initial_state == "stationary":
-        np.less(u[0], p_on, out=st[0])
+        np.less(words[0][0], _thresholds(p_on), out=st[0])
     else:
         st[0] = initial_state == "all_on"
     for step in range(1, t_steps):
@@ -253,17 +280,16 @@ def simulate(config: SimConfig, initial_state: str = "stationary") -> Trajectory
     positions, distances = sample_positions(config)
     states = np.empty((config.trials, t, n_edges), dtype=bool)
 
-    # batches of whole trials; a trial too large for one batch is stepped in
-    # batches of its edges
+    # tiles of a batch of trials by a slice of their edges; the rates are
+    # made per tile, so the working set stays within the tile's budget
     per_stream = _blocks(t)
-    for trials in _chunks(config.trials, n_edges * per_stream):
-        dist = distances[trials]
-        p_on = channel.connection_probability(dist, config.params)
-        p01, p10 = channel.transition_probabilities(dist, config.params)
-        for edges in _chunks(n_edges, per_stream * len(dist)):
+    for trials in _chunks(config.trials, per_stream):
+        for edges in _chunks(n_edges, per_stream * (trials.stop - trials.start)):
+            dist = distances[trials, edges]
+            p_on = channel.connection_probability(dist, config.params)
+            p01, p10 = channel.transition_probabilities(dist, config.params)
             states[trials, :, edges] = _step_chains(
-                config.seed, trials, edges, t, p_on[:, edges], p01[:, edges],
-                p10[:, edges], initial_state)
+                config.seed, trials, edges, t, p_on, p01, p10, initial_state)
 
     return TrajectoryEnsemble(config=config, initial_state=initial_state,
                               positions=positions, distances=distances,
@@ -307,22 +333,28 @@ def empirical_transition_frequencies(ensemble: TrajectoryEnsemble,
 
     matrix = np.full((2, 2), np.nan)
     stderr = np.full((2, 2), np.nan)
-    visits = np.zeros(2, dtype=np.int64)
+    on_visits = int(np.count_nonzero(prev))
+    visits = np.array([prev.size - on_visits, on_visits], dtype=np.int64)
     undefined = []
+    hits = np.empty(prev.shape, dtype=bool)
     for a in (0, 1):
-        mask_a = prev == bool(a)
-        visits[a] = int(np.count_nonzero(mask_a))
         if visits[a] == 0:
             undefined.append(a)
             continue
+        mask_a = prev if a else ~prev
         if distance_weighted:
             # edges whose occupancy of a underflowed to (sub)normal zero
             # cannot realize state a; drop them instead of forming 0 * inf
             occ = occupancy[a]
             floor = np.finfo(float).tiny
             w = np.where(occ >= floor, 1.0 / np.maximum(occ, floor), 0.0)
-        for b in (0, 1):
-            hits = mask_a & (cur == bool(b))
+        else:
+            m = mask_a.sum(axis=(1, 2)).astype(float)
+        # the a -> 1 hits; the other visits of a are the a -> 0 hits
+        np.logical_and(mask_a, cur, out=hits)
+        for b in (1, 0):
+            if b == 0:
+                hits ^= mask_a
             if distance_weighted:
                 # per-trial mean of weighted indicators; opportunities fixed
                 s = np.einsum("ijk,ik->i", hits, w) / n_opp
@@ -330,7 +362,6 @@ def empirical_transition_frequencies(ensemble: TrajectoryEnsemble,
                 stderr[a, b] = float(np.std(s, ddof=1) / np.sqrt(trials)) if trials > 1 else np.nan
             else:
                 s = hits.sum(axis=(1, 2)).astype(float)
-                m = mask_a.sum(axis=(1, 2)).astype(float)
                 ratio = s.sum() / m.sum()
                 matrix[a, b] = float(ratio)
                 if trials > 1:
@@ -478,14 +509,15 @@ def _block_template(tails, trial_width: int, step_width: int):
 
 
 def export_snapshots(ensemble: TrajectoryEnsemble, fh) -> None:
-    """Write the ensemble as 'trial,step,edge_i,edge_j,state' CSV lines.
+    """Write the ensemble as 'trial,step,edge_i,edge_j,state' CSV lines to
+    the binary handle ``fh``, as ASCII bytes.
 
     The lines of one (trial, step) block form one unit.  After the header,
-    each ``fh.write`` passes at most ``_WRITE_BYTES`` characters, or one
-    block where a block is longer, so the memory the export adds to the
+    each ``fh.write`` passes at most ``_WRITE_BYTES`` bytes, or one block
+    where a block is longer, so the memory the export adds to the
     ensemble's is bounded whatever the trial and step counts.
     """
-    fh.write("trial,step,edge_i,edge_j,state\n")
+    fh.write(b"trial,step,edge_i,edge_j,state\n")
     trials, t_steps, n_edges = ensemble.states.shape
     states = ensemble.states.reshape(-1, n_edges).view(np.uint8)
     tails = [b"%d,%d," % (i, j) for i, j in ensemble.pairs]
@@ -511,4 +543,4 @@ def export_snapshots(ensemble: TrajectoryEnsemble, fh) -> None:
             out[:, trial_cols] = _digits(rows // t_steps, widths[0])
             out[:, step_cols] = _digits(rows % t_steps, widths[1])
             out[:, state_cols] = states[start:end] + ord("0")
-            fh.write(str(out, "ascii"))
+            fh.write(out.ravel())

@@ -441,6 +441,30 @@ class TestBatchedPoints:
         with pytest.raises(ValueError):
             params.r0[0] = 1.0
 
+    def test_views_match_checked_points(self):
+        # batch(), at() and squeezed() skip the checks their source passed;
+        # they must still give what a checked construction gives
+        params = ChannelParams(np.array([0.5, 0.7, 0.9]), 2.0, 500.0, 12e6)
+        one = ChannelParams(0.7, 2.0, 500.0, 12e6)
+        views = {"batch": (one.batch(), ChannelParams([0.7], 2.0, [500.0], 12e6)),
+                 "at int": (params.at(1), one),
+                 "at list": (params.at([2, 0]), ChannelParams([0.9, 0.5], 2.0, 500.0, 12e6)),
+                 "at mask": (params.at(np.array([False, True, True])),
+                             ChannelParams([0.7, 0.9], 2.0, 500.0, 12e6)),
+                 "at slice": (params.at(slice(1, None)),
+                              ChannelParams([0.7, 0.9], 2.0, 500.0, 12e6)),
+                 "squeezed": (params.at([1]).squeezed(), one)}
+        for name, (view, checked) in views.items():
+            assert type(view) is ChannelParams, name
+            for field in ("r0", "eta", "nu", "B"):
+                got, want = getattr(view, field), getattr(checked, field)
+                assert np.shape(got) == np.shape(want), (name, field)
+                assert np.array_equal(got, want), (name, field)
+                if np.ndim(got):
+                    assert got.dtype == float and not got.flags.writeable, (name, field)
+        with pytest.raises(ChannelError):
+            params.at([])
+
 
 def snr_on_fraction(r, params, rng, n):
     """On-fraction of n exponential SNR draws of mean (r/r0)**-eta at threshold 1."""

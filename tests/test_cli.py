@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from netentropy import channel, cli, quadrature, validation
+from netentropy.channel import ChannelParams
 
 
 # sha256 of the CSV each command writes, recorded with one integrand call
@@ -462,6 +463,23 @@ class TestOracle:
         monkeypatch.setattr(channel, "clamp_radii", counted)
         for extra in ([], ["--domain", "disk", "--eta", "3"],
                       ["--r0", "0.3", "--symbol-rate", "1000"]):
+            calls.clear()
+            assert cli.main(["oracle", "--t-max", "4", *extra,
+                             "--out", str(tmp_path / "o.csv")]) == 0
+            assert len(calls) == 1
+
+    def test_one_validation_per_call(self, tmp_path, monkeypatch):
+        # the command line's parameters are checked once; the batch and point
+        # views the bounds, the profile and the clamp radii take are not
+        calls = []
+        real = ChannelParams.__post_init__
+
+        def counted(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(ChannelParams, "__post_init__", counted)
+        for extra in ([], ["--r0", "0.3", "--symbol-rate", "1000"]):
             calls.clear()
             assert cli.main(["oracle", "--t-max", "4", *extra,
                              "--out", str(tmp_path / "o.csv")]) == 0

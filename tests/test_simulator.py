@@ -1,12 +1,15 @@
 """Monte Carlo ensemble generation and empirical estimators."""
 
 import collections
+import fractions
 import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netentropy import channel, entropy, geometry, simulator
 from netentropy.channel import ChannelParams
@@ -192,6 +195,63 @@ class TestStepChains:
         else:
             assert 0 < got.mean() < 1
 
+    @pytest.mark.parametrize("initial_state", simulator.INITIAL_STATES)
+    @pytest.mark.parametrize("t_steps", [1, 2, 3, 5, 8])
+    def test_short_streams_match_where_recurrence(self, t_steps, initial_state):
+        # fewer steps than a block, and a last block only partly used
+        trials, edges = slice(0, 4), slice(5, 8)
+        probs = step_probabilities("array", (4, 3))
+        got = simulator._step_chains(77, trials, edges, t_steps, *probs, initial_state)
+        expected = where_step_chains(77, trials, edges, t_steps, *probs, initial_state)
+        assert got.shape == (4, t_steps, 3)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("initial_state", simulator.INITIAL_STATES)
+    @pytest.mark.parametrize("chunk_blocks", [3, 6, 45])
+    def test_simulate_tiles_match_where_recurrence(self, monkeypatch, chunk_blocks,
+                                                   initial_state):
+        # 5 trials of 15 edge streams of 3 blocks.  3 steps every stream
+        # alone; 6 makes tiles of 2 trials by 1 edge, then the last trial by
+        # 2 edges; 45 makes tiles of all 5 trials by 3 edges
+        cfg = SimConfig(n=6, t_steps=9, trials=5, seed=2 ** 64 - 5,
+                        domain=geometry.TRIANGLE, params=FAST)
+        monkeypatch.setattr(simulator, "_CHUNK_BLOCKS", chunk_blocks)
+        ens = simulate(cfg, initial_state)
+        p01, p10 = channel.transition_probabilities(ens.distances, FAST)
+        p_on = channel.connection_probability(ens.distances, FAST)
+        expected = where_step_chains(cfg.seed, slice(0, 5), slice(0, 15), 9,
+                                     p_on, p01, p10, initial_state)
+        assert np.array_equal(ens.states, expected)
+
+
+class TestThresholds:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(p=st.floats(0.0, 1.0), low=st.integers(0, 2 ** 11 - 1),
+           word=st.integers(0, 2 ** 64 - 1))
+    @example(p=0.0, low=0, word=0)
+    @example(p=5e-324, low=2 ** 11 - 1, word=2 ** 11 - 1)
+    @example(p=2.0 ** -53, low=2 ** 11 - 1, word=2 ** 12)
+    @example(p=0.5, low=0, word=2 ** 63)
+    @example(p=1.0 - channel.CLAMP_EPS, low=1, word=2 ** 64 - 1)
+    @example(p=1.0 - 2.0 ** -53, low=2 ** 11 - 1, word=2 ** 64 - 1)
+    @example(p=1.0, low=2 ** 11 - 1, word=2 ** 64 - 1)
+    def test_integer_test_equals_double_test(self, p, low, word):
+        # the word's double is (word >> 11) * 2**-53; the tiles compare the
+        # integer word >> 11 with the threshold instead
+        threshold = simulator._thresholds(p)
+        assert threshold.dtype == np.uint64
+        assert int(threshold) == math.ceil(fractions.Fraction(p) * 2 ** 53)
+        top = int(threshold)
+        # words whose top 53 bits sit on either side of the threshold
+        tops = [m for m in (top - 2, top - 1, top, top + 1) if 0 <= m < 2 ** 53]
+        words = np.array([(m << 11) | low for m in tops] + [word, 0, 2 ** 64 - 1],
+                         dtype=np.uint64)
+        high = words >> np.uint64(11)
+        as_double = high * 2.0 ** -53 < p
+        assert np.array_equal(high < threshold, as_double)
+        assert np.array_equal(high < simulator._thresholds(np.full(len(words), p)),
+                              as_double)
+
 
 class TestGolden:
     @pytest.mark.parametrize("case", sorted(GOLDEN_SIMULATE))
@@ -211,16 +271,19 @@ class TestGolden:
                                        FAST, t_steps, trials, seed)
         assert (sha256(ens.positions), sha256(ens.states)) == GOLDEN_PINNED[case]
 
-    @pytest.mark.parametrize("chunk_blocks", [1, 7, 74])
+    @pytest.mark.parametrize("chunk_blocks", [1, 7, 16, 74])
     def test_chunking_invariant(self, monkeypatch, chunk_blocks,
                                 pinned_distance_ensemble):
-        # simulate needs 2 blocks per edge stream, 10 * 2 per trial, and 3 per
-        # trial for positions, the pinned run 2 per trial.  1 steps every
-        # stream alone; 7 steps simulate's trials one at a time in edge
-        # batches of 3, draws positions in 2-trial batches and steps the
-        # pinned run in 3-trial batches; 74 steps simulate in 3-trial batches
-        # and the pinned run in one.  3 divides neither the 10 edges nor the
-        # 10 trials
+        # simulate steps tiles of a batch of trials by a slice of their edges:
+        # budget // 2 trials per batch, as each edge stream needs 2 blocks,
+        # and budget // (2 * batch) edges per slice.  Positions take 3 blocks
+        # per trial, the pinned run 2.  1 steps every stream alone; 7 steps
+        # 3-trial batches one edge at a time and the last trial in 3-edge
+        # slices, draws positions in 2-trial batches and steps the pinned run
+        # in 3-trial batches; 16 splits the trials 8 + 2 and the 2-trial
+        # batch's edges 4 + 4 + 2; 74 steps all 10 trials in 3-edge slices
+        # and the pinned run in one batch.  3 divides neither the 10 edges
+        # nor the 10 trials
         cfg = SimConfig(n=5, t_steps=6, trials=10, seed=2 ** 64 - 7,
                         domain=geometry.DISK, params=FAST)
         ref = [simulate(cfg, state) for state in simulator.INITIAL_STATES]
@@ -464,16 +527,16 @@ def per_line_export(ensemble, fh):
                 fh.write(f"{trial},{step},{i},{j},{int(on[e])}\n")
 
 
-class RecordingWriter(io.StringIO):
-    """Text handle that records the length of every write."""
+class RecordingWriter(io.BytesIO):
+    """Binary handle that records the byte count of every write."""
 
     def __init__(self):
         super().__init__()
         self.lengths = []
 
-    def write(self, text):
-        self.lengths.append(len(text))
-        return super().write(text)
+    def write(self, data):
+        self.lengths.append(memoryview(data).nbytes)
+        return super().write(data)
 
 
 # (n, t_steps, trials, seed, domain, initial_state, write cap or None)
@@ -503,13 +566,13 @@ class TestExport:
             per_line_export(ens, expected)
             # lists, not strings: pytest reports the first differing line
             # instead of diffing the whole text
-            lines = expected.getvalue().splitlines(True)
+            lines = expected.getvalue().encode("ascii").splitlines(True)
             assert got.getvalue().splitlines(True) == lines, case
             # memory contract: after the header, no write is longer than the
             # cap or one (trial, step) block, whichever is larger
             blocks = collections.Counter()
             for line in lines[1:]:
-                trial, step, _ = line.split(",", 2)
+                trial, step, _ = line.split(b",", 2)
                 blocks[trial, step] += len(line)
             assert got.lengths[0] == len(lines[0]), case
             assert max(got.lengths[1:]) <= max(cap or default_cap,
@@ -519,12 +582,11 @@ class TestExport:
 
     def test_format_and_determinism(self, paper_params):
         cfg = small_config(paper_params, n=3, t_steps=2, trials=2)
-        buf1, buf2 = io.StringIO(), io.StringIO()
+        buf1, buf2 = io.BytesIO(), io.BytesIO()
         export_snapshots(simulate(cfg), buf1)
         export_snapshots(simulate(cfg), buf2)
-        text = buf1.getvalue()
-        assert text == buf2.getvalue()
-        lines = text.splitlines()
+        assert buf1.getvalue() == buf2.getvalue()
+        lines = buf1.getvalue().decode("ascii").splitlines()
         assert lines[0] == "trial,step,edge_i,edge_j,state"
         assert len(lines) == 1 + 2 * 2 * 3  # trials * steps * edges
         first = lines[1].split(",")
