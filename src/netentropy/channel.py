@@ -9,10 +9,15 @@ down as r -> 0 where the off state has vanishing probability, so transition
 entries are clamped into [0, 1 - CLAMP_EPS] and every clamping event is
 counted in :data:`clamp_diagnostics`.
 
-The unclamped flip probabilities are written once, in ``_unclamped_rates``,
-which the clamped rates, the clamp radii and the admissibility report all
-read; the p01 clamp-radius solve reads its p01 half, ``_unclamped_p01``,
-alone.  With x = (r/r0)**eta, p10 grows as sqrt(x) and p01 as
+The unclamped flip probabilities are written once: p01 in ``_unclamped_p01``
+at a given x = (r/r0)**eta and e**-x, and p10 in ``_p10`` from the LCR
+factor.  ``_unclamped_rates`` evaluates both at r for the clamped rates, the
+clamp radii and the admissibility report; the p01 clamp-radius solve reads
+p01 alone.  The
+integrands of the distance averages take the whole link law at once from
+:func:`link_probabilities`: p, p01 and p10 from one x and one e**-x per node,
+equal bit for bit to :func:`connection_probability` and
+:func:`transition_probabilities`.  p10 grows as sqrt(x) and p01 as
 g(x) = sqrt(x)/(e**x - 1), where g' has the sign of (e**x - 1)/2 - x e**x,
 negative as 1 - e**-x < x < 2x: p01 strictly falls in r, p10 strictly rises.
 The p01 clamp radius is found on the kernel by an in-repo bracketed solve,
@@ -221,22 +226,39 @@ def _unclamped_rates(r, params: ChannelParams):
     underflows to 0 it is +inf (0 for a frozen chain, nu == 0); where it
     overflows p01 is 0.
     """
-    p01, lcr = _unclamped_p01(r, params)
-    # p10: the exp(-x) of the LCR cancels against the on probability
-    return p01, lcr / params.B
-
-
-def _unclamped_p01(r, params: ChannelParams):
-    """The p01 of :func:`_unclamped_rates`, and the :func:`_lcr_factor`
-    from which p10 follows."""
     x = _x(r, params)
+    p01, lcr = _unclamped_p01(r, x, np.exp(-x), params)
+    return p01, _p10(lcr, params)
+
+
+def _unclamped_p01(r, x, on, params: ChannelParams):
+    """The p01 of :func:`_unclamped_rates` at x = _x(r, params) and
+    on = e**-x, and the :func:`_lcr_factor` from which p10 follows."""
     lcr = _lcr_factor(x, params)
     # p01 = lcr e^-x / ((1 - e^-x) B); -expm1(-x) = 1 - e^-x
     denom = -np.expm1(-x)
     limit = np.where(r > 0.0, np.where(params.nu > 0.0, np.inf, 0.0), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p01 = np.where(denom > 0.0, lcr * np.exp(-x) / (denom * params.B), limit)
+        p01 = np.where(denom > 0.0, lcr * on / (denom * params.B), limit)
     return p01, lcr
+
+
+def _p10(lcr, params: ChannelParams):
+    """The unclamped p10 from the :func:`_lcr_factor`: the exp(-x) of the
+    LCR cancels against the on probability."""
+    return lcr / params.B
+
+
+def _clamped(p01, p10):
+    """``p01`` and ``p10`` clamped into [0, 1 - CLAMP_EPS], each clamped
+    entry counted in clamp_diagnostics."""
+    hi = 1.0 - CLAMP_EPS
+    n_clamped = int(np.count_nonzero(p01 > hi) + np.count_nonzero(p10 > hi))
+    if n_clamped:
+        clamp_diagnostics.record(n_clamped)
+        p01 = np.minimum(p01, hi)
+        p10 = np.minimum(p10, hi)
+    return p01, p10
 
 
 def transition_probabilities(r, params: ChannelParams):
@@ -245,14 +267,21 @@ def transition_probabilities(r, params: ChannelParams):
     The unclamped entries of :func:`_unclamped_rates`, clamped into
     [0, 1 - CLAMP_EPS].  Clamping events go to clamp_diagnostics.
     """
-    p01, p10 = _unclamped_rates(_check_r(r), params)
-    hi = 1.0 - CLAMP_EPS
-    n_clamped = int(np.count_nonzero(p01 > hi) + np.count_nonzero(p10 > hi))
-    if n_clamped:
-        clamp_diagnostics.record(n_clamped)
-        p01 = np.minimum(p01, hi)
-        p10 = np.minimum(p10, hi)
+    p01, p10 = _clamped(*_unclamped_rates(_check_r(r), params))
     return _shape_back(r, params, p01), _shape_back(r, params, p10)
+
+
+def link_probabilities(r, params: ChannelParams):
+    """(p, p01, p10) at distance r: :func:`connection_probability` and
+    :func:`transition_probabilities`, bit for bit, from one x = (r/r0)**eta
+    and one e**-x per distance.  Clamping events go to clamp_diagnostics,
+    as there."""
+    arr = _check_r(r)
+    x = _x(arr, params)
+    on = np.exp(-x)
+    p01, lcr = _unclamped_p01(arr, x, on, params)
+    p01, p10 = _clamped(p01, _p10(lcr, params))
+    return tuple(_shape_back(r, params, v) for v in (on, p01, p10))
 
 
 def clamp_radii(params: ChannelParams, diameter: float):
@@ -316,7 +345,9 @@ def _p01_cap_radius(params: ChannelParams, ends: np.ndarray) -> np.ndarray:
         bits[1:-1] = ends[0] + (width * _KSECTION_STEPS).astype(np.int64)
         # the first pattern where p01 is not above the cap: never the lower
         # end, where it is, and at the latest the upper end, where it is not
-        i = (_unclamped_p01(bits.view(np.float64), params)[0] > hi).argmin(axis=0)
+        r = bits.view(np.float64)
+        x = _x(r, params)
+        i = (_unclamped_p01(r, x, np.exp(-x), params)[0] > hi).argmin(axis=0)
         ends = bits[i + _CELL, cols]
         width = ends[1] - ends[0]
     return ends[1].view(np.float64)

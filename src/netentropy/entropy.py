@@ -11,7 +11,8 @@ Entropies are in bits per time step throughout.
 The bounds of a batch of points (r0 or nu arrays, see
 :class:`~netentropy.channel.ChannelParams`) share their quadratures: the
 points with the same number of breakpoints are integrated together, one
-column each, and every point gets the numbers it would get alone.
+column each, a point leaving its batch once its column converges, and every
+point gets the numbers it would get alone.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ MAX_ORACLE_STEPS = 12
 
 
 def _xlog2(q: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(q)
-    pos = q > 0.0
-    out[pos] = -q[pos] * np.log2(q[pos])
-    return out
+    """-q log2 q, 0 where q is 0.  The log is preset to -0.0 where q is 0,
+    so that (-q) * log is +0.0 there."""
+    return -q * np.log2(q, where=q > 0.0, out=np.full_like(q, -0.0))
 
 
 def _binary_entropy(q: np.ndarray) -> np.ndarray:
@@ -98,27 +98,29 @@ class EdgeMoments:
 
 def _moment_integrand(domain: Domain, params: ChannelParams):
     """The stacked :class:`EdgeMoments` integrands at nodes r, whose trailing
-    axis runs over the points of a batch ``params``."""
+    axis runs over the points of a batch ``params``, and the ``columns``
+    callback of :func:`integrate_piecewise` that narrows them to the points
+    a batch still integrates."""
     density = domain.distance_density()
+    live = params.squeezed()
 
     def integrand(r):
         w = density.pdf(r)
-        p = channel.connection_probability(r, params)
-        p01, p10 = channel.transition_probabilities(r, params)
-        lower = (1.0 - p) * _binary_entropy(p01) + p * _binary_entropy(p10)
-        return np.stack([
-            p * w,
-            (1.0 - p) * w,
-            p01 * w,
-            (1.0 - p01) * w,
-            p10 * w,
-            (1.0 - p10) * w,
-            lower * w,
-            (1.0 - p) * p01 * w,
-            p * p10 * w,
-        ])
+        p, p01, p10 = channel.link_probabilities(r, live)
+        off = 1.0 - p
+        lower = off * _binary_entropy(p01) + p * _binary_entropy(p10)
+        terms = (p, off, p01, 1.0 - p01, p10, 1.0 - p10, lower, off * p01, p * p10)
+        # each term times w, written straight into the stacked result
+        out = np.empty((len(terms), *w.shape))
+        for k, term in enumerate(terms):
+            np.multiply(term, w, out=out[k])
+        return out
 
-    return integrand
+    def columns(active):
+        nonlocal live
+        live = params.at(active).squeezed()
+
+    return integrand, columns
 
 
 def _per_point(params: ChannelParams, results: list):
@@ -161,9 +163,9 @@ def edge_moments(domain: Domain, params: ChannelParams,
             cols = members[start:start + width]
             pts = np.array([breakpoints[j] for j in cols]).T
             group = params if len(cols) == len(out) else points.at(cols)
+            integrand, columns = _moment_integrand(domain, group)
             try:
-                values = integrate_piecewise(
-                    _moment_integrand(domain, group.squeezed()), pts, spec)
+                values = integrate_piecewise(integrand, pts, spec, columns=columns)
                 error, converged = None, np.ones(len(cols), dtype=bool)
             except QuadratureError as exc:
                 values, error, converged = exc.result, exc, exc.converged
@@ -320,8 +322,7 @@ def _class_probabilities(domain: Domain, params: ChannelParams, t_max: int,
 
     def integrand(r):
         w = density.pdf(r)
-        p = channel.connection_probability(r, params)
-        p01, p10 = channel.transition_probabilities(r, params)
+        p, p01, p10 = channel.link_probabilities(r, params)
         start = np.stack([1.0 - p, p])
         powers = np.stack([p01, 1.0 - p01, p10, 1.0 - p10])[:, None, :] ** exponents
         return (start[first] * powers[0, n01] * powers[1, n00]

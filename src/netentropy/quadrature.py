@@ -14,17 +14,17 @@ vectorized: ``f(nodes)`` receives one array of abscissae, shape (M,) or
 (M, B) with the node axis first, and returns a matching array or a stack of
 integrand components with shape (..., M) or (..., M, B); the integral keeps
 the leading shape and the column axis.  One call carries, in segment order,
-the nodes of every segment and every column at one refinement depth, at most
-4,096 nodes counted over all columns, so a call may span breakpoints and
-``f`` must be elementwise in its argument: the value at a node may not
+the nodes of every segment and every open column at one refinement depth, at
+most 4,096 nodes counted over all columns, so a call may span breakpoints
+and ``f`` must be elementwise in its argument: the value at a node may not
 depend on the other nodes of the call.  Parameters of the problems (one per
-column) broadcast against the trailing axis, which is why every call holds
-every column: ``f`` takes nothing but the nodes, so it cannot be told which
-columns a call holds.  A column that has converged is therefore still
-evaluated until the last column of the batch converges, and its value is
-the one of its own accepted depth.  Each column's panels, Gauss sums, dot
-products and additions are those of its problem integrated alone, so a
-batch gives every column's integral bit for bit.
+column) broadcast against the trailing axis.  A column leaves the batch once
+it converges, so later depths evaluate only the columns still open; an
+integrand with per-column parameters learns which ones through the
+``columns`` callback, which receives their indices into the original batch
+before the next depth.  Each column's panels, Gauss sums, dot products and
+additions are those of its problem integrated alone, so a batch gives every
+column's integral bit for bit, whatever columns it still holds.
 """
 
 from __future__ import annotations
@@ -141,21 +141,24 @@ def _eval_depth(f, lo, hi, depth: int, order: int, flat: bool):
     return total
 
 
-def integrate_piecewise(f, breakpoints, spec: QuadratureSpec = DEFAULT_SPEC):
+def integrate_piecewise(f, breakpoints, spec: QuadratureSpec = DEFAULT_SPEC,
+                        *, columns=None):
     """Integrate ``f`` over the interval spanned by sorted ``breakpoints``.
 
     ``breakpoints`` has shape (K,) for one problem or (K, B) for B problems,
     column j holding problem j's strictly increasing breakpoints, at most
     :func:`max_columns` of them.  ``f`` is called with one positional array
-    of nodes, (M,) or (M, B), and returns (..., M) or (..., M, B); see the
+    of nodes, (M,) or (M, B'), and returns (..., M) or (..., M, B'); see the
     module docstring for the batch contract.  Panels are refined dyadically
     until, in each column, two successive depths agree to
     ``spec.rel_tolerance`` (relative to max(1, |result|), componentwise for
     vector integrands); a column's result is the one of its accepted depth,
-    though every column is evaluated until the last one converges.  Returns
-    shape (...) or (..., B).  Raises :class:`QuadratureError`, carrying the
-    converged columns, if ``max_depth`` is reached with any column
-    unconverged.
+    and later calls hold only the B' columns not yet accepted.  Whenever
+    columns leave, ``columns(active)``, if given, receives the indices into
+    the original batch of those that stay, in order, before ``f`` is called
+    again.  Returns shape (...) or (..., B).  Raises
+    :class:`QuadratureError`, carrying the converged columns, if
+    ``max_depth`` is reached with any column unconverged.
     """
     pts = np.asarray(breakpoints, dtype=float)
     flat = pts.ndim == 1
@@ -169,24 +172,30 @@ def integrate_piecewise(f, breakpoints, spec: QuadratureSpec = DEFAULT_SPEC):
 
     prev = _eval_depth(f, lo, hi, 0, spec.nodes_per_panel, flat)
     result = np.full(prev.shape, np.nan)
-    done = np.zeros(len(prev), dtype=bool)
+    active = np.arange(len(prev))           # original index of each open column
     for depth in range(1, spec.max_depth + 1):
         cur = _eval_depth(f, lo, hi, depth, spec.nodes_per_panel, flat)
         err = np.abs(cur - prev).reshape(len(cur), -1).max(axis=1)
         scale = np.abs(cur).reshape(len(cur), -1).max(axis=1)
         accept = err <= spec.rel_tolerance * np.maximum(scale, 1.0)
-        accept &= ~done
-        result[accept] = cur[accept]
-        done |= accept
-        if done.all():
+        result[active[accept]] = cur[accept]
+        if accept.all():
             return _columns_last(result, flat)
         prev = cur
-    worst = float(np.max(err[~done]))
+        if accept.any():
+            keep = ~accept
+            active, lo, hi, prev, err = (active[keep], lo[:, keep], hi[:, keep],
+                                         cur[keep], err[keep])
+            if columns is not None:
+                columns(active)
+    converged = np.ones(len(result), dtype=bool)
+    converged[active] = False
     raise QuadratureError(
         f"no convergence after depth {spec.max_depth} "
-        f"({2 ** spec.max_depth} panels per segment) in {np.count_nonzero(~done)} "
-        f"of {len(done)} columns; last error {worst:.3e}",
-        result=_columns_last(result, flat), converged=done[0] if flat else done)
+        f"({2 ** spec.max_depth} panels per segment) in {len(active)} "
+        f"of {len(result)} columns; last error {float(np.max(err)):.3e}",
+        result=_columns_last(result, flat),
+        converged=converged[0] if flat else converged)
 
 
 def _columns_last(result, flat: bool):

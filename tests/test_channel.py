@@ -16,6 +16,7 @@ from netentropy.channel import (
     clamp_radii,
     connection_probability,
     level_crossing_rate,
+    link_probabilities,
     slow_fading_report,
     transition_probabilities,
 )
@@ -184,6 +185,67 @@ class TestTransitionMatrix:
             p01, p10 = transition_probabilities(r, paper_params)
             assert p01 / (p01 + p10) == pytest.approx(
                 connection_probability(r, paper_params), abs=1e-12)
+
+
+# (r0, eta, nu, B): p01 clamped; p01 and p10 clamped; x underflowing at
+# r = 1e-18; x overflowing at r = 1; two frozen chains
+LAW_POINTS = [(0.7, 2.0, 500.0, 12e6), (0.7, 2.0, 500.0, 1e3), (0.7, 19.0, 500.0, 12e6),
+              (0.05, 300.0, 500.0, 12e6), (0.7, 2.0, 0.0, 12e6), (0.7, 19.0, 0.0, 1e3)]
+
+
+def law_distances(params, diameter):
+    """0, an underflowed and an overflowed x, and the floats on both sides
+    of each clamp radius of ``params``."""
+    r = [0.0, 1e-30, 1e-18, 1e-6, 0.3, 1.0, diameter]
+    for radius in clamp_radii(params, diameter):
+        r += [np.nextafter(radius, 0.0), radius, np.nextafter(radius, np.inf)]
+    return np.array(r)
+
+
+def separate_and_fused(r, params):
+    """(p, p01, p10) and the clamp events of connection_probability and
+    transition_probabilities, then those of link_probabilities."""
+    out = []
+    for calls in ((connection_probability, transition_probabilities), (link_probabilities,)):
+        before = clamp_diagnostics.events
+        law = []
+        for fn in calls:
+            value = fn(r, params)
+            law += list(value) if isinstance(value, tuple) else [value]
+        out.append((law, clamp_diagnostics.events - before))
+    return out
+
+
+class TestLinkProbabilities:
+    """One x and one e**-x per distance give the separate functions' law."""
+
+    @pytest.mark.parametrize("r0, eta, nu, B", LAW_POINTS)
+    def test_equals_separate_functions(self, r0, eta, nu, B):
+        params = ChannelParams(r0, eta, nu, B)
+        D = geometry.SQUARE.diameter
+        r = law_distances(params, D)
+        (want, want_events), (got, got_events) = separate_and_fused(r, params)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert got_events == want_events
+        if nu > 0.0:
+            assert want_events > 0
+        for one in (0.0, 1e-18, 1.0):
+            (want, _), (got, _) = separate_and_fused(one, params)
+            assert got == want and all(isinstance(v, float) for v in got)
+
+    @pytest.mark.parametrize("eta, B", [(2.0, 1e3), (19.0, 12e6), (300.0, 12e6)])
+    def test_equals_separate_functions_over_points(self, eta, B):
+        # (M, B) nodes, one column per point, each with its own radii
+        params = ChannelParams([0.05, 0.3, 0.7, 1.1], eta, [500.0, 10.0, 0.0, 1e4], B)
+        D = geometry.SQUARE.diameter
+        cols = [law_distances(params.at(j), D) for j in range(4)]
+        M = max(len(c) for c in cols)
+        r = np.stack([np.pad(c, (0, M - len(c)), mode="edge") for c in cols], axis=1)
+        (want, want_events), (got, got_events) = separate_and_fused(r, params)
+        for a, b in zip(got, want):
+            assert a.shape == r.shape and np.array_equal(a, b)
+        assert got_events == want_events > 0
 
 
 class TestStationaryDistribution:

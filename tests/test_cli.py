@@ -110,16 +110,27 @@ class TestBoundsSweep:
         assert code == 0 and len(rows) == cli.DEFAULT_GRID_POINTS
 
     def test_quadrature_failure_marks_row_and_exit(self, capsys, monkeypatch):
-        # the middle point's integrand turns NaN, so its column alone runs
-        # to max_depth; the batch's other columns converge as on their own
+        # the r0 = 0.7 point's integrand turns NaN, so its column alone runs
+        # to max_depth; the batch's other columns converge as on their own.
+        # Converged columns leave the batch, so the callback tells which
+        # point each column of a call holds
         real = cli.entropy.integrate_piecewise
+        grid = np.array([0.5, 0.7, 0.9])
 
-        def failing(f, breakpoints, spec):
+        def failing(f, breakpoints, spec, *, columns):
+            live = grid
+
+            def narrowed(active):
+                nonlocal live
+                live = grid[active]
+                columns(active)
+
             def integrand(r):
                 vals = f(r)
-                vals[..., 1] = np.nan
+                vals[..., live == 0.7] = np.nan
                 return vals
-            return real(integrand, breakpoints, dataclasses.replace(spec, max_depth=6))
+            return real(integrand, breakpoints, dataclasses.replace(spec, max_depth=6),
+                        columns=narrowed)
 
         argv = ["bounds-sweep", "--eta", "2", "--domain", "square"]
         monkeypatch.setattr(cli.entropy, "integrate_piecewise", failing)

@@ -68,6 +68,22 @@ class TestBinaryEntropyTerms:
         assert entropy._binary_entropy(np.array([0.25]))[0] == pytest.approx(
             0.811278, abs=1e-6)
 
+    def test_xlog2_equals_gather_form(self, rng):
+        # the boolean-gather form the masked log replaced, as reference
+        def gathered(q):
+            out = np.zeros_like(q)
+            pos = q > 0.0
+            out[pos] = -q[pos] * np.log2(q[pos])
+            return out
+
+        edge = [0.0, 5e-324, 2.0 ** -53, 0.5, 1.0 - channel.CLAMP_EPS, 1.0]
+        q = np.concatenate([edge, rng.random(1002), rng.random(200) ** 60])
+        for arr in (q, q.reshape(-1, 8)):
+            got, want = entropy._xlog2(arr), gathered(arr)
+            # bit for bit, so the sign of every zero too
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert not np.signbit(entropy._xlog2(q)[0])
+
 
 class TestAveragedEdgeProbability:
     def test_everything_connected_limit(self):
@@ -378,15 +394,44 @@ class TestBatchedPoints:
         params = ChannelParams(np.sort(10.0 ** rng.uniform(-1.3, 0.15, 8)), 3.0, 500.0, 12e6)
         calls = []
 
-        def counted(f, breakpoints, *args):
+        def counted(f, breakpoints, *args, **kwargs):
             calls.append(np.shape(breakpoints))
-            return integrate_piecewise(f, breakpoints, *args)
+            return integrate_piecewise(f, breakpoints, *args, **kwargs)
 
         monkeypatch.setattr(entropy, "integrate_piecewise", counted)
         moments = edge_moments(geometry.DISK, params)
         monkeypatch.undo()
         assert calls == [(3, 8)]   # 0, the p01 clamp radius and D, for all 8 points
         assert moments == [edge_moments(geometry.DISK, params.at(j)) for j in range(8)]
+
+    def test_batch_evaluates_only_open_columns(self, monkeypatch):
+        # a seed-0 benchmark r0 grid: on the square at eta = 3 its points
+        # converge at depths 6, 5 and 4 when run alone
+        params = ChannelParams(
+            np.array([0.0537241, 0.0885717, 0.15384, 0.192763, 0.366654,
+                      0.584634, 0.758297, 1.28385]), 3.0, 500.0, 12e6)
+        runs = []
+
+        def counted(f, breakpoints, *args, **kwargs):
+            runs.append([np.shape(breakpoints)[0] - 1, 0])
+
+            def g(r):
+                runs[-1][1] += np.size(r)
+                return f(r)
+            return integrate_piecewise(g, breakpoints, *args, **kwargs)
+
+        monkeypatch.setattr(entropy, "integrate_piecewise", counted)
+        batch = edge_moments(SQ, params)
+        ((_, batch_nodes),) = runs
+        runs.clear()
+        alone = [edge_moments(SQ, params.at(j)) for j in range(8)]
+        monkeypatch.undo()
+        assert batch == alone
+        depths = [math.log2(n / (s * 16) + 1) - 1 for s, n in runs]
+        assert depths == [6, 6, 6, 5, 5, 5, 5, 4]
+        # each point's nodes as if it ran alone, not the deepest point's 8 times
+        assert batch_nodes == sum(s * 16 * (2 ** (d + 1) - 1)
+                                  for (s, _), d in zip(runs, depths)) == 31_872
 
     def test_one_point_raises_and_a_batch_returns_errors(self, paper_params):
         hopeless = QuadratureSpec(nodes_per_panel=8, rel_tolerance=1e-15, max_depth=1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from netentropy import quadrature
+from netentropy import geometry, quadrature
 from netentropy.quadrature import QuadratureError, QuadratureSpec, integrate_piecewise
 
 
@@ -200,22 +200,31 @@ BATCH_POLES = np.array([0.02, 0.6, 0.7, 0.3])
 
 class TestBatchContract:
     """Problems along a trailing column axis: one positional node array per
-    call, node axis first, at most the cap over all columns, and each column
-    equal bit for bit to its problem integrated alone."""
+    call, node axis first, at most the cap over all columns, each column
+    equal bit for bit to its problem integrated alone, and a column gone
+    from the calls once it converges."""
 
-    def recorded(self, f):
+    def tracked(self, family):
+        """An integrand of ``family`` at the poles of the columns still open,
+        the ``columns`` callback that tells it which those are, and the list
+        of its calls as (nodes, original indices of their columns)."""
         calls = []
+        active = np.arange(len(BATCH_POLES))
 
         def integrand(*args):
             assert len(args) == 1
-            calls.append(args[0].copy())
-            return f(args[0])
-        return integrand, calls
+            calls.append((args[0].copy(), active))
+            return family(BATCH_POLES[active])(args[0])
+
+        def columns(kept):
+            nonlocal active
+            active = kept.copy()
+        return integrand, columns, calls
 
     @pytest.mark.parametrize("family", [poles, poles_stack])
     def test_columns_equal_problems_alone(self, family):
-        integrand, calls = self.recorded(family(BATCH_POLES))
-        got = integrate_piecewise(integrand, BATCH_POINTS, TIGHT)
+        integrand, columns, calls = self.tracked(family)
+        got = integrate_piecewise(integrand, BATCH_POINTS, TIGHT, columns=columns)
         depths = []
         for j, c in enumerate(BATCH_POLES):
             want, depth = reference_integral(family(c), BATCH_POINTS[:, j], TIGHT)
@@ -224,21 +233,27 @@ class TestBatchContract:
         assert len(set(depths)) > 1, "every column converged at the same depth"
         # every depth fits one call here: one call per depth up to the last
         assert len(calls) == max(depths) + 1
-        for nodes in calls:
-            assert nodes.ndim == 2 and nodes.shape[1] == len(BATCH_POLES)
+        for depth, (nodes, active) in enumerate(calls):
+            # the columns not yet converged at this depth, in batch order
+            open_ = [j for j, d in enumerate(depths) if d >= depth]
+            assert active.tolist() == open_
+            assert nodes.ndim == 2 and nodes.shape[1] == len(open_)
             assert nodes.size <= quadrature._MAX_NODES_PER_CALL
-            assert np.all((nodes >= BATCH_POINTS[0]) & (nodes <= BATCH_POINTS[-1]))
+            lo, hi = BATCH_POINTS[0, open_], BATCH_POINTS[-1, open_]
+            assert np.all((nodes >= lo) & (nodes <= hi))
+        widths = [nodes.shape[1] for nodes, _ in calls]
+        assert widths[min(depths) + 1] < len(BATCH_POLES) == widths[0]
 
     @pytest.mark.parametrize("cap", [64, 200, 1000])
     def test_cap_counts_every_column(self, cap, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_NODES_PER_CALL", cap)
         spec = QuadratureSpec(nodes_per_panel=16, rel_tolerance=1e-13)
-        integrand, calls = self.recorded(poles_stack(BATCH_POLES))
-        got = integrate_piecewise(integrand, BATCH_POINTS, spec)
+        integrand, columns, calls = self.tracked(poles_stack)
+        got = integrate_piecewise(integrand, BATCH_POINTS, spec, columns=columns)
         for j, c in enumerate(BATCH_POLES):
             want, _ = reference_integral(poles_stack(c), BATCH_POINTS[:, j], spec)
             assert np.array_equal(got[:, j], want)
-        assert max(nodes.size for nodes in calls) <= cap
+        assert max(nodes.size for nodes, _ in calls) <= cap
 
     def test_column_count_checked(self):
         width = quadrature.max_columns()
@@ -249,21 +264,50 @@ class TestBatchContract:
         assert integrate_piecewise(np.exp, pts[:, :width]).shape == (width,)
 
     def test_failed_column_is_isolated(self):
-        def integrand(x):
-            vals = poles_stack(BATCH_POLES)(x)
-            vals[..., 2] = np.nan
-            return vals
+        failing = BATCH_POLES[2]
 
+        def poisoned(c):
+            # NaN in the column of the pole at ``failing``, wherever it sits
+            def f(x):
+                vals = poles_stack(c)(x)
+                vals[..., c == failing] = np.nan
+                return vals
+            return f
+
+        integrand, columns, calls = self.tracked(poisoned)
         spec = QuadratureSpec(rel_tolerance=1e-13, max_depth=6)
         with pytest.raises(QuadratureError) as info:
-            integrate_piecewise(integrand, BATCH_POINTS, spec)
+            integrate_piecewise(integrand, BATCH_POINTS, spec, columns=columns)
         err = info.value
+        assert err.result.shape == (3, len(BATCH_POLES))
         assert err.converged.tolist() == [True, True, False, True]
         assert np.all(np.isnan(err.result[:, 2]))
         for j in (0, 1, 3):
             want, _ = reference_integral(poles_stack(BATCH_POLES[j]),
                                          BATCH_POINTS[:, j], spec)
             assert np.array_equal(err.result[:, j], want)
+        # the failed column alone runs to max_depth
+        assert calls[-1][1].tolist() == [2]
+
+    @pytest.mark.parametrize("name", ["square", "disk"])
+    def test_integrand_without_callback(self, name, monkeypatch):
+        # the pdf takes no per-column parameters, so it needs no callback:
+        # each bin, one column, equals its own run, also after the others
+        # converge and the widest bin, next to the diameter, goes on alone
+        dens = geometry.domain_from_name(name).distance_density()
+        edges = np.geomspace(1e-3, 1.0, 9) * dens.domain.diameter
+        real, calls = geometry.DistanceDensity.pdf, []
+
+        def pdf(self, r):
+            calls.append(np.shape(r))
+            return real(self, r)
+
+        monkeypatch.setattr(geometry.DistanceDensity, "pdf", pdf)
+        got = dens.interval_probabilities(edges)
+        monkeypatch.undo()
+        want = [dens.interval_probabilities(edges[i:i + 2]) for i in range(len(edges) - 1)]
+        assert np.array_equal(got, np.concatenate(want))
+        assert calls[-1][1] < calls[0][1] == len(edges) - 1
 
     def test_columns_must_increase(self):
         pts = BATCH_POINTS.copy()
