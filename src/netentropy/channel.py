@@ -12,16 +12,15 @@ counted in :data:`clamp_diagnostics`.
 The unclamped flip probabilities are written once: p01 in ``_unclamped_p01``
 at a given x = (r/r0)**eta and e**-x, and p10 in ``_p10`` from the LCR
 factor.  ``_unclamped_rates`` evaluates both at r for the clamped rates, the
-clamp radii and the admissibility report; the p01 clamp-radius solve reads
-p01 alone.  The
-integrands of the distance averages take the whole link law at once from
-:func:`link_probabilities`: p, p01 and p10 from one x and one e**-x per node,
-equal bit for bit to :func:`connection_probability` and
-:func:`transition_probabilities`.  p10 grows as sqrt(x) and p01 as
+clamp radii and the admissibility report.  The integrands of the distance
+averages take the whole link law at once from :func:`link_probabilities`: p,
+p01 and p10 from one x and one e**-x per node, equal bit for bit to
+:func:`connection_probability` and :func:`transition_probabilities`.  p10 grows as sqrt(x) and p01 as
 g(x) = sqrt(x)/(e**x - 1), where g' has the sign of (e**x - 1)/2 - x e**x,
 negative as 1 - e**-x < x < 2x: p01 strictly falls in r, p10 strictly rises.
-The p01 clamp radius is found on the kernel by an in-repo bracketed solve,
-a k-section over float64 bit patterns, so the module needs only numpy.
+Both depend on nu and B only through nu/B, and on r only through x, so the
+p01 clamp radius is one root in x per nu, solved by Newton's method on the
+kernel in x; the module needs only numpy.
 
 :class:`ChannelParams` may hold a batch of points: r0 and nu as 1-D arrays,
 which broadcast against the trailing axis of a distance array, while eta and
@@ -53,11 +52,6 @@ OCCUPANCY_FLOOR = 1e-5
 _HUGE = np.finfo(float).max
 # smallest normal float64: the lower bracket of the p01 clamp radius in x
 _TINY = np.finfo(float).tiny
-# where each round of the p01 clamp radius solve cuts its bracket: 255 cuts
-# reach adjacent floats in about eight rounds, as fast as a scipy brentq
-_KSECTION_STEPS = (np.arange(1.0, 256.0) / 256.0)[:, None]
-# offsets of a cut's two ends from the first pattern not above the cap
-_CELL = np.array([[-1], [0]])
 
 
 class ChannelError(ValueError):
@@ -290,31 +284,38 @@ def clamp_radii(params: ChannelParams, diameter: float):
     The unclamped p01 is strictly decreasing in r and p10 strictly
     increasing, so each contributes at most one crossing.  These radii are
     kinks of the clamped model and must be quadrature breakpoints.  p10
-    grows as (r/r0)**(eta/2), so its crossing has a closed form.  The p01
-    crossing is solved on the rate kernel by k-section over the float64 bit
-    patterns of r (see :func:`_p01_cap_radius`).  Its lower bracket is the
-    radius where x = (r/r0)**eta is the smallest normal float, so the kernel
-    never sees the x == 0 of an underflowed power; a crossing below it, where
-    x is not representable, is not reported.
+    grows as (r/r0)**(eta/2), so its crossing has a closed form.  p01 depends
+    on r only through x = (r/r0)**eta, so its crossing x01 is solved once per
+    distinct nu (see :func:`_p01_cap_x`) and mapped to r0 * x01**(1/eta).
+    From there each radius walks over neighbouring floats to the kernel's own
+    crossing: the float r where p01 is not above the cap, while it is above
+    it at the float below r.  Both floats of a point go in one kernel call.
+    A crossing whose x01 :func:`_p01_cap_x` does not bracket is not reported.
 
     Returns the sorted radii of one point, or for a batch one such list per
-    point; the batch's k-sections run in lockstep, each on its own bracket.
+    point.
     """
     pts = params.batch()
     hi = 1.0 - CLAMP_EPS
-    r_lo = np.maximum(pts.r0 * _TINY ** (1.0 / pts.eta), _TINY)
-    ends = np.stack([r_lo, np.full_like(r_lo, diameter)])
-    # both rates are 0 for a frozen chain (nu == 0): it has no radius
-    p01, p10 = _unclamped_rates(ends, params.squeezed())
-    r01 = np.full(len(r_lo), np.nan)
-    # p01 diverges at 0+: the bracket holds unless p01 is below cap throughout
-    solve = (r_lo < diameter) & (p01[0] > hi) & (p01[1] <= hi)
-    if solve.any():
-        r01[solve] = _p01_cap_radius(pts.at(solve).squeezed(), ends[:, solve])
+    law = params.squeezed()
+    p01, p10 = _unclamped_rates(np.full(pts.shape, float(diameter)), law)
+    nu, of_nu = np.unique(pts.nu, return_inverse=True)
+    r01 = pts.r0 * _p01_cap_x(nu, pts.B)[of_nu] ** (1.0 / pts.eta)
+    # p01 diverges at 0+: it crosses the cap below D unless it is above it there
+    r01 = np.where(p01 <= hi, r01, np.nan)
+    while True:
+        pair = np.stack([np.nextafter(r01, 0.0), r01])
+        above = _unclamped_rates(pair, law)[0] > hi
+        # step up while p01 is above the cap at r, down while it is not at the
+        # float below; p01 is 0 at r == 0 by convention, so a walk ends there
+        up, down = above[1], ~above[0] & (r01 > 0.0)
+        if not (up | down).any():
+            break
+        r01 = np.where(up, np.nextafter(r01, np.inf), np.where(down, pair[0], r01))
     radii = []
-    for j in range(len(r_lo)):
+    for j in range(len(r01)):
         point = [r01[j]]
-        if p10[1, j] > hi:
+        if p10[j] > hi:
             # the closed form per point, in the scalar arithmetic of one point
             point.append(pts.r0[j] * (hi * pts.B / (SQRT_2PI * pts.nu[j]))
                          ** (2.0 / pts.eta))
@@ -322,35 +323,33 @@ def clamp_radii(params: ChannelParams, diameter: float):
     return radii if params.shape else radii[0]
 
 
-def _p01_cap_radius(params: ChannelParams, ends: np.ndarray) -> np.ndarray:
-    """Float r where the unclamped p01 drops to the cap, between ``ends``,
-    for each point of ``params``, a batch or one point.
+def _p01_cap_x(nu: np.ndarray, B: float) -> np.ndarray:
+    """x where the unclamped p01 drops to the cap, for each Doppler frequency
+    of ``nu`` at symbol rate B.  The root is bracketed by the smallest normal
+    float and the x where e**-x is that float; NaN where p01 does not cross
+    the cap in the bracket, as for a frozen chain (nu == 0).
 
-    ``ends`` (2, n) holds two positive radii per point, p01 above the cap at
-    the first and not at the second.  Positive floats are ordered like their
-    bit patterns as integers, so each round evaluates the kernel at 255
-    patterns evenly spaced in each point's bracket, between its two ends,
-    and keeps the cell where p01 first drops to the cap.  A point stops at
-    adjacent floats: p01 is above the cap at the float below its r and not
-    above it at r.  A point that has stopped keeps its bracket while the
-    others go on: its 255 patterns are all its lower end.
+    The residual log(p01/cap) falls in u = log x, with slope
+    1/2 - x/(1 - e**-x), and is concave.  So Newton steps in u, held in the
+    bracket, fall onto the root from the small-x root
+    (sqrt(2 pi) nu / (cap B))**2, where p01 is below the cap as
+    e**x - 1 > x.  A step d leaves an error below d**2/2, so the root is
+    found to half an ulp once a step is below 2**-26.
     """
     hi = 1.0 - CLAMP_EPS
-    ends = ends.view(np.int64)
-    cols = np.arange(ends.shape[1])
-    bits = np.empty((len(_KSECTION_STEPS) + 2, len(cols)), dtype=np.int64)
-    width = ends[1] - ends[0]
-    while (width > 1).any():
-        bits[[0, -1]] = ends
-        bits[1:-1] = ends[0] + (width * _KSECTION_STEPS).astype(np.int64)
-        # the first pattern where p01 is not above the cap: never the lower
-        # end, where it is, and at the latest the upper end, where it is not
-        r = bits.view(np.float64)
-        x = _x(r, params)
-        i = (_unclamped_p01(r, x, np.exp(-x), params)[0] > hi).argmin(axis=0)
-        ends = bits[i + _CELL, cols]
-        width = ends[1] - ends[0]
-    return ends[1].view(np.float64)
+    lo, up = _TINY, -np.log(_TINY)
+    # r0 = eta = 1: the kernel in x
+    p01 = _unclamped_rates(np.array([[lo], [up]]), ChannelParams._view(1.0, 1.0, nu, B))[0]
+    root = (p01[0] > hi) & (p01[1] <= hi)
+    law = ChannelParams._view(1.0, 1.0, nu[root], B)
+    x = np.minimum(SQRT_2PI * law.nu / (hi * B), np.sqrt(up)) ** 2
+    step = np.inf
+    while not (np.abs(step) <= 2.0 ** -26).all():
+        step = np.log(_unclamped_rates(x, law)[0] / hi) / (x / -np.expm1(-x) - 0.5)
+        x = np.clip(x * np.exp(step), lo, up)
+    x01 = np.full(nu.shape, np.nan)
+    x01[root] = x
+    return x01
 
 
 @dataclass(frozen=True)

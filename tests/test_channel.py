@@ -4,11 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from netentropy import channel, geometry
+from netentropy import channel, cli, geometry
 from netentropy.channel import (
     ChannelError,
     ChannelParams,
@@ -338,11 +338,14 @@ def test_report_ends_are_the_scan_maxima(r0, eta, nu, B, name, seed):
 
 def brentq_p01_radius(params, diameter):
     """brentq root of the unclamped p01 at the cap, bracketed where the
-    kernel's x = (r/r0)**eta is 1e-300, far from underflow."""
+    kernel's x = (r/r0)**eta is 1e-300, far from underflow, or at r = 1e-300
+    where that radius is smaller (eta < 1), with x above 1e-300 there."""
     hi = 1.0 - channel.CLAMP_EPS
-    r_lo = params.r0 * 1e-300 ** (1.0 / params.eta)
+    r_lo = max(params.r0 * 1e-300 ** (1.0 / params.eta), 1e-300)
+    # across a bracket of some 300 decades at eta < 1, brentq can need about
+    # 120 iterations, past its default limit of 100
     return brentq(lambda r: channel._unclamped_rates(r, params)[0] - hi,
-                  r_lo, diameter, xtol=1e-300, rtol=1e-15)
+                  r_lo, diameter, xtol=1e-300, rtol=1e-15, maxiter=500)
 
 
 def assert_p01_radius(params, radius, diameter):
@@ -353,6 +356,27 @@ def assert_p01_radius(params, radius, diameter):
     p01_above = channel._unclamped_rates(radius * (1 + 1e-12), params)[0]
     p01_below = channel._unclamped_rates(radius * (1 - 1e-12), params)[0]
     assert p01_above <= hi < p01_below
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(r0=log_uniform(1e-3, 10.0), eta=st.floats(0.5, 12.0), nu=log_uniform(1.0, 1e5),
+       B=log_uniform(1e3, 1e8), name=st.sampled_from(geometry.DOMAIN_NAMES))
+@example(r0=2.5, eta=1.1, nu=6.6, B=12e6, name="square")
+def test_p01_radius_is_the_kernel_crossing(r0, eta, nu, B, name):
+    params = ChannelParams(r0, eta, nu, B)
+    D = geometry.domain_from_name(name).diameter
+    hi = 1.0 - channel.CLAMP_EPS
+    # p01 diverges at 0+, so it crosses the cap in (0, D) unless it is above
+    # it at D
+    assume(channel._unclamped_rates(D, params)[0] <= hi)
+    # the p01 radius, picked by the crossing: where p10 also clamps, its
+    # radius can sort first; the two floats go in one call, as a scalar call
+    # and an array call of the kernel can differ in the last bit
+    crossing = [r for r in clamp_radii(params, D) if (channel._unclamped_rates(
+        np.array([np.nextafter(r, 0.0), r]), params)[0] > hi).tolist() == [True, False]]
+    assert len(crossing) == 1
+    ref = brentq_p01_radius(params, D)
+    assert abs(crossing[0] - ref) <= 8 * np.spacing(ref), (crossing[0], ref)
 
 
 class TestClampRadii:
@@ -387,6 +411,13 @@ class TestClampRadii:
     def test_frozen(self):
         assert clamp_radii(ChannelParams(0.7, 2.0, 0.0, 12e6), 1.4) == []
 
+    def test_p01_radius_underflowing_to_zero(self):
+        # at the smallest subnormal r0, r0 * x01**(1/eta) is 0: the walk ends
+        # there, and only the p10 radius is reported
+        params = ChannelParams(5e-324, 1.0, 500.0, 12e6)
+        radii = clamp_radii(params, 1.4)
+        assert radii == scalar_clamp_radii(params, 1.4) and len(radii) == 1
+
     def test_p10_radius_closed_form(self):
         # B = 1 kHz: p01 and p10 both reach the cap inside the square
         params = ChannelParams(0.7, 2.0, 500.0, 1e3)
@@ -405,9 +436,16 @@ class TestClampRadii:
         assert_p01_radius(params, r01, geometry.SQUARE.diameter)
 
 
+# where each round of the reference k-section cuts its bracket: 255 cuts
+# reach adjacent floats in about eight rounds
+KSECTION_STEPS = np.arange(1.0, 256.0) / 256.0
+
+
 def scalar_clamp_radii(params, diameter):
-    """Clamp radii of one point by the scalar k-section, one bracket at a
-    time: the reference the lockstep batch solve reproduces bit for bit."""
+    """Clamp radii of one point by a scalar k-section over the float64 bit
+    patterns of r, one bracket at a time, from the radius where x is the
+    smallest normal float: the reference the x solve and its walk to the
+    kernel's crossing reproduce bit for bit."""
     if params.nu == 0.0:
         return []
     hi = 1.0 - channel.CLAMP_EPS
@@ -418,7 +456,7 @@ def scalar_clamp_radii(params, diameter):
     if r_lo < diameter and p01[0] > hi and p01[1] <= hi:
         lo, up = ends.view(np.int64).tolist()
         while up - lo > 1:
-            bits = lo + ((up - lo) * channel._KSECTION_STEPS[:, 0]).astype(np.int64)
+            bits = lo + ((up - lo) * KSECTION_STEPS).astype(np.int64)
             above = channel._unclamped_rates(bits.view(np.float64), params)[0] > hi
             i = int(above.argmin())
             if above[i]:
@@ -441,18 +479,36 @@ def mixed_batch(rng, eta):
     return ChannelParams(r0, eta, nu, 1e3)
 
 
+def default_sweep_batch(variable, eta):
+    """The batch of one (domain, eta) of the default ``bounds-sweep`` over
+    ``variable``: 40 points of r0 or nu, the other parameters at their
+    defaults."""
+    if variable == "r0":
+        d_max = max(d.diameter for d in geometry.DOMAINS)
+        return ChannelParams(np.geomspace(0.05, d_max, cli.DEFAULT_GRID_POINTS), eta, 500.0, 12e6)
+    return ChannelParams(0.7, eta, np.geomspace(1.0, 1000.0, cli.DEFAULT_GRID_POINTS), 12e6)
+
+
+# the mixed batches, then the 18 batches of the two default sweeps, with the
+# radius counts each batch covers
+RADII_BATCHES = [
+    pytest.param(batch, eta, domain, counts, id=f"{eta}-{domain.name}" if batch == "mixed"
+                 else f"{batch}-{eta}-{domain.name}")
+    for batch, counts in (("mixed", {0, 1, 2}), ("r0", {1}), ("nu", {1}))
+    for eta in (2.0, 3.0, 4.0) for domain in geometry.DOMAINS]
+
+
 class TestBatchedPoints:
     """A batch of points (r0 and nu arrays) gives each point its own numbers."""
 
-    @pytest.mark.parametrize("domain", geometry.DOMAINS, ids=geometry.DOMAIN_NAMES)
-    @pytest.mark.parametrize("eta", [2.0, 3.0, 4.0])
-    def test_lockstep_radii_equal_scalar_solves(self, domain, eta, rng):
-        params = mixed_batch(rng, eta)
+    @pytest.mark.parametrize("batch, eta, domain, counts", RADII_BATCHES)
+    def test_radii_equal_scalar_ksection(self, batch, eta, domain, counts, rng):
+        params = mixed_batch(rng, eta) if batch == "mixed" else default_sweep_batch(batch, eta)
         radii = clamp_radii(params, domain.diameter)
         want = [scalar_clamp_radii(params.at(j), domain.diameter)
                 for j in range(len(params.r0))]
         assert radii == want
-        assert {len(r) for r in want} == {0, 1, 2}
+        assert {len(r) for r in want} == counts
 
     @pytest.mark.parametrize("domain", geometry.DOMAINS, ids=geometry.DOMAIN_NAMES)
     def test_admissibility_equals_point_reports(self, domain, rng):

@@ -446,6 +446,29 @@ class TestBatchedPoints:
             assert fn(*args, SQ, batch.at([1])) == [fn(*args, SQ, paper_params)]
 
 
+class TestDopplerRatio:
+    """The rates are nu/B times a function of x = (r/r0)**eta, so every result
+    depends on nu and B only through nu/B."""
+
+    @pytest.mark.parametrize("k", [1, -2, 10])
+    @pytest.mark.parametrize("name", geometry.DOMAIN_NAMES)
+    @pytest.mark.parametrize("r0, eta, nu, B", [
+        (0.7, 2.0, 500.0, 1e3),
+        (np.array([0.3, 0.7, 1.1, 0.5]), 3.0, np.array([0.0, 1.0, 30.0, 500.0]), 1e3),
+    ], ids=["point", "nu-batch"])
+    def test_power_of_two_scaling_changes_nothing(self, r0, eta, nu, B, name, k):
+        # scaling nu and B by 2**k keeps every kernel operation exact, so the
+        # numbers are identical, not only close (a factor 3 is not exact)
+        dom = geometry.domain_from_name(name)
+        params = ChannelParams(r0, eta, nu, B)
+        scaled = ChannelParams(r0, eta, nu * 2.0 ** k, B * 2.0 ** k)
+        assert channel.clamp_radii(scaled, dom.diameter) == channel.clamp_radii(params, dom.diameter)
+        assert edge_moments(dom, scaled) == edge_moments(dom, params)
+        want = dataclasses.asdict(channel.slow_fading_report(params, dom))
+        for field, value in dataclasses.asdict(channel.slow_fading_report(scaled, dom)).items():
+            assert np.array_equal(value, want[field]), field
+
+
 class TestQuadratureBehavior:
     @pytest.mark.parametrize("point", sorted(GOLDEN_EDGE_MOMENTS))
     def test_edge_moments_digest(self, point):
