@@ -36,6 +36,7 @@ from .quadrature import QuadratureError, QuadratureSpec, integrate_piecewise
 from .simulator import (
     SimConfig,
     TrajectoryEnsemble,
+    TrajectoryTally,
     empirical_block_entropy,
     empirical_transition_frequencies,
     simulate,
@@ -68,6 +69,7 @@ __all__ = [
     "integrate_piecewise",
     "SimConfig",
     "TrajectoryEnsemble",
+    "TrajectoryTally",
     "empirical_block_entropy",
     "empirical_transition_frequencies",
     "simulate",

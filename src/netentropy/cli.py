@@ -15,7 +15,9 @@ The parser is built once per process; parsing never changes it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 import warnings
 from typing import List, Optional, Sequence
@@ -120,18 +122,42 @@ def cmd_bounds_sweep(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _open_binary(path: str):
+    """Binary output handle of ``path``; '-' is standard output."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout.buffer)
+    return open(path, "wb")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.out == "-" and args.summary in (None, "-"):
+        raise ValueError("--out - writes the snapshots to stdout; give the "
+                         "summary CSV a path with --summary")
     sim_config = simulator.SimConfig(n=args.nodes, t_steps=args.steps, trials=args.trials,
                                      seed=args.seed, domain=domain_from_name(args.domain),
                                      params=_channel_params(args))
-    ensemble = simulator.simulate(sim_config)
-    with open(args.out, "wb") as fh:
-        simulator.export_snapshots(ensemble, fh)
+    tally = simulator.TrajectoryTally(sim_config)
+    # one batch of states at a time goes to the export and to the tally, so
+    # the memory held does not grow with the trial count
+    with _open_binary(args.out) as fh:
+        for batch in sim_config.batches():
+            ensemble = simulator.simulate(batch)
+            simulator.export_snapshots(ensemble, fh)
+            tally.add(ensemble)
+            del ensemble  # freed before the next batch is made
+        fh.flush()
+        # written before the snapshots are closed: a file opened just after
+        # a large rewritten one is closed can wait for its writeback (ext4)
+        _write_csv(args.summary or args.out + ".summary.csv",
+                   ("metric", "arg1", "arg2", "value"), _summary_rows(sim_config, tally))
+    return 0
 
-    states = ensemble.states
-    rows = [("mean_edge_density", "", "", np.count_nonzero(states) / states.size)]
+
+def _summary_rows(sim_config: simulator.SimConfig, tally: simulator.TrajectoryTally):
+    """The summary CSV rows of a simulate run's tally."""
+    rows = [("mean_edge_density", "", "", tally.mean_edge_density)]
     if sim_config.t_steps >= 2:
-        freq = simulator.empirical_transition_frequencies(ensemble)
+        freq = simulator.empirical_transition_frequencies(tally)
         for a in (0, 1):
             for b in (0, 1):
                 rows.append(("transition_frequency", a, b, freq.matrix[a, b]))
@@ -142,15 +168,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for t in range(1, t_top + 1):
-            est = simulator.empirical_block_entropy(ensemble, t)
+            est = simulator.empirical_block_entropy(tally, t)
             rows.append(("block_entropy_empirical", t, "", est.plug_in))
             rows.append(("block_entropy_miller_madow", t, "", est.miller_madow))
             rows.append(("block_entropy_oracle", t, "", float(oracle_H[t - 1])))
             rows.append(("block_entropy_delta", t, "",
                          est.miller_madow - float(oracle_H[t - 1])))
-    _write_csv(args.summary or args.out + ".summary.csv",
-               ("metric", "arg1", "arg2", "value"), rows)
-    return 0
+    return rows
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -230,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trials", type=int, default=100,
                      help="independent trials (default %(default)s)")
     sim.add_argument("--seed", type=int, default=12345, help="master seed (default %(default)s)")
-    sim.add_argument("--out", required=True, help="snapshot export path")
+    sim.add_argument("--out", required=True,
+                     help="snapshot export path ('-' for stdout, with --summary)")
     sim.add_argument("--summary", default=None,
                      help="summary CSV path (default <out>.summary.csv)")
     _add_model_flags(sim, lists=False)
@@ -278,6 +303,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # argv[0] is the command: the top-level parser has no options
             args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
         return args.func(args)
+    except BrokenPipeError:
+        # the reader of stdout closed the pipe early: stop without a message,
+        # as Unix filters do; stdout then points at devnull, so that the
+        # interpreter's last flush of it cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, simulator.SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

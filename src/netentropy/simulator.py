@@ -16,13 +16,18 @@ checked in the tests against ``np.random.Philox`` started at counter
 ``[0, 0, trial, lane]``, which emits block k = 1 first.  As every stream is
 addressed by its counter, the simulator generates and steps tiles of streams,
 a batch of trials by a slice of their edges, and any tiling gives
-bit-identical ensembles.
+bit-identical ensembles.  So does any cut of a run into consecutive trial
+ranges (:meth:`SimConfig.batches`): the simulate command generates a run one
+such batch at a time and hands each to the snapshot export and to a
+:class:`TrajectoryTally`, whose per-trial sums the estimators read, so it
+never holds more than one batch of states.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Tuple
 
 import numpy as np
@@ -42,10 +47,18 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 # Philox blocks generated per tile of streams: bounds the temporary working
-# set (about 90 bytes per block, 3 MB) whatever n, t and the trial count, as
-# long as one stream of t draws fits.  Tiles of 32768 blocks stepped
-# simulate's n = 50, T = 100 runs faster than tiles of 8192 or 16384
-_CHUNK_BLOCKS = 32768
+# set (about 90 bytes per block, 1.5 MB) whatever n, t and the trial count,
+# as long as one stream of t draws fits.  With tiles of 32768 blocks, the
+# simulate command's streamed n = 50, T = 100, 16-trial run faulted in
+# about 9,800 pages per call against 1,000 (the allocator handed each
+# tile's arrays back to the system) and took 6% longer
+_CHUNK_BLOCKS = 16384
+# Philox blocks per batch of SimConfig.batches: a batch's states, 4 bytes per
+# block, take at most 1 MiB unless one trial needs more.  Batches of one
+# trial at n = 50, T = 100 made the simulate command 14% slower than
+# holding the whole run: each batch draws its positions, steps one-trial
+# tiles that share no Philox products, and calls the export and the tally
+_BATCH_BLOCKS = 262144
 # export_snapshots passes fh.write at most this many bytes at a time, or one
 # (trial, step) block of lines where that is longer
 _WRITE_BYTES = 256 * 1024
@@ -60,7 +73,12 @@ class SimulationError(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo run description; identical configs give identical output."""
+    """Monte Carlo run description; identical configs give identical output.
+
+    The run holds trials ``first_trial`` to ``first_trial + trials - 1``.
+    Trial i draws streams (i, lane) whichever run holds it, so consecutive
+    trial ranges of one run give that run's trials, bit for bit.
+    """
 
     n: int
     t_steps: int
@@ -68,6 +86,7 @@ class SimConfig:
     seed: int
     domain: Domain
     params: ChannelParams
+    first_trial: int = 0
 
     def __post_init__(self):
         if self.n < 2:
@@ -78,10 +97,21 @@ class SimConfig:
             raise SimulationError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2 ** 64:
             raise SimulationError("seed must be a 64-bit unsigned integer")
+        if not 0 <= self.first_trial <= 2 ** 64 - self.trials:
+            raise SimulationError("trial numbers must be 64-bit unsigned integers")
 
     @property
     def n_edges(self) -> int:
         return self.n * (self.n - 1) // 2
+
+    def batches(self):
+        """The run's consecutive trial ranges, as configs, each of as many
+        whole trials as ``_BATCH_BLOCKS`` Philox blocks hold, and at least
+        one."""
+        size = max(1, _BATCH_BLOCKS // (_blocks(self.t_steps) * self.n_edges))
+        for start in range(0, self.trials, size):
+            yield replace(self, first_trial=self.first_trial + start,
+                          trials=min(size, self.trials - start))
 
 
 def _mulhilo(m: int, x: np.ndarray):
@@ -152,8 +182,8 @@ def _chunks(count: int, blocks_each: int):
         yield slice(start, min(start + size, count))
 
 
-def _indices(chunk: slice) -> np.ndarray:
-    return np.arange(chunk.start, chunk.stop, dtype=_U64)
+def _indices(chunk: slice, first: int = 0) -> np.ndarray:
+    return np.arange(first + chunk.start, first + chunk.stop, dtype=_U64)
 
 
 def _thresholds(p):
@@ -221,6 +251,8 @@ class TrajectoryEnsemble:
     positions : (trials, n, 2) node coordinates, fixed within a trial
     distances : (trials, n_edges) pair distances in edge_pairs order
     states    : (trials, t_steps, n_edges) boolean edge states
+
+    Row i of each array is trial ``config.first_trial + i``.
     """
 
     config: SimConfig
@@ -238,7 +270,8 @@ class TrajectoryEnsemble:
         object.__setattr__(self, "pairs", pairs)
 
     def snapshot(self, trial: int, step: int) -> np.ndarray:
-        """Symmetric boolean adjacency matrix of one snapshot."""
+        """Symmetric boolean adjacency matrix of one snapshot; ``trial`` is
+        the row, trial ``config.first_trial + trial`` of the run."""
         n = self.config.n
         adj = np.zeros((n, n), dtype=bool)
         on = self.states[trial, step]
@@ -256,8 +289,8 @@ def sample_positions(config: SimConfig):
     positions = np.empty((config.trials, n, 2))
     distances = np.empty((config.trials, config.n_edges))
     for trials in _chunks(config.trials, _blocks(2 * n)):
-        upos = _stream_uniforms(config.seed, _indices(trials), _POSITION_LANE,
-                                2 * n)[:, :, 0]
+        upos = _stream_uniforms(config.seed, _indices(trials, config.first_trial),
+                                _POSITION_LANE, 2 * n)[:, :, 0]
         pos = config.domain.points_from_uniforms(
             upos[:, :n].ravel(), upos[:, n:].ravel()).reshape(-1, n, 2)
         positions[trials] = pos
@@ -283,17 +316,117 @@ def simulate(config: SimConfig, initial_state: str = "stationary") -> Trajectory
     # tiles of a batch of trials by a slice of their edges; the rates are
     # made per tile, so the working set stays within the tile's budget
     per_stream = _blocks(t)
-    for trials in _chunks(config.trials, per_stream):
-        for edges in _chunks(n_edges, per_stream * (trials.stop - trials.start)):
-            dist = distances[trials, edges]
+    for rows in _chunks(config.trials, per_stream):
+        trials = slice(config.first_trial + rows.start, config.first_trial + rows.stop)
+        for edges in _chunks(n_edges, per_stream * (rows.stop - rows.start)):
+            dist = distances[rows, edges]
             p_on = channel.connection_probability(dist, config.params)
             p01, p10 = channel.transition_probabilities(dist, config.params)
-            states[trials, :, edges] = _step_chains(
+            states[rows, :, edges] = _step_chains(
                 config.seed, trials, edges, t, p_on, p01, p10, initial_state)
 
     return TrajectoryEnsemble(config=config, initial_state=initial_state,
                               positions=positions, distances=distances,
                               states=states)
+
+
+def _inverse_occupancies(distances: np.ndarray, params: ChannelParams):
+    """1 / (1 - p) and 1 / p of the edges' connection probabilities p.
+
+    An edge whose occupancy of a state underflowed to (sub)normal zero
+    cannot realize that state: its weight is 0 instead of forming 0 * inf.
+    """
+    p_on = channel.connection_probability(distances, params)
+    floor = np.finfo(float).tiny
+    return [np.where(occ >= floor, 1.0 / np.maximum(occ, floor), 0.0)
+            for occ in (1.0 - p_on, p_on)]
+
+
+class TrajectoryTally:
+    """The sums of a run's edge states that the estimators read, added one
+    batch of trials at a time, in order.
+
+    A run streamed batch by batch (:meth:`SimConfig.batches`) so never holds
+    more than one batch of states.  Over the run a tally keeps the count of
+    on edge-steps, ``on``, and of the visits of states 0 and 1 before a
+    step, ``visits``.  Per trial it keeps edge 0's first min(12, t_steps)
+    states, ``heads``, enough for every block length of
+    :func:`empirical_block_entropy`, and the sums of the a -> b transition
+    indicators, ``sums[a, b]``: with ``distance_weighted``, each indicator
+    weighted by the inverse stationary occupancy of state a at the edge's
+    distance, as :func:`empirical_transition_frequencies` weights it, and
+    otherwise the counts.  A trial's sums are those of its own states
+    whichever batch held it, so any batching gives the same estimates, bit
+    for bit.
+    """
+
+    def __init__(self, config: SimConfig, distance_weighted: bool = True):
+        self.config = config
+        self.distance_weighted = distance_weighted
+        self.on = 0
+        self.visits = np.zeros(2, dtype=np.int64)
+        self.heads = np.empty((config.trials, min(12, config.t_steps)), dtype=bool)
+        self.sums = np.empty((2, 2, config.trials),
+                             dtype=float if distance_weighted else np.int64)
+        self._done = 0
+
+    @classmethod
+    def of(cls, ensemble: TrajectoryEnsemble,
+           distance_weighted: bool = True) -> "TrajectoryTally":
+        """The tally of one whole ensemble."""
+        tally = cls(ensemble.config, distance_weighted)
+        tally.add(ensemble)
+        return tally
+
+    def add(self, ensemble: TrajectoryEnsemble) -> None:
+        """Add the sums of the run's next trials, those of ``ensemble``."""
+        run, batch = self.config, ensemble.config
+        first = self._done
+        if (replace(batch, first_trial=run.first_trial, trials=run.trials) != run
+                or batch.first_trial != run.first_trial + first
+                or first + batch.trials > run.trials):
+            raise SimulationError("the ensemble is not the next batch of this run")
+        self._done += batch.trials
+        states = ensemble.states
+        self.on += int(np.count_nonzero(states))
+        self.heads[first:self._done] = states[:, :self.heads.shape[1], 0]
+        if run.t_steps < 2:
+            return
+        # as many trials at a time as a tile holds, which bounds the
+        # temporaries by a tile's
+        for chunk in _chunks(batch.trials, _blocks(run.t_steps) * run.n_edges):
+            prev = states[chunk, :-1, :]
+            cur = states[chunk, 1:, :]
+            on_visits = np.count_nonzero(prev)
+            self.visits += (prev.size - on_visits, on_visits)
+            sums = self.sums[:, :, first + chunk.start:first + chunk.stop]
+            if self.distance_weighted:
+                weights = _inverse_occupancies(ensemble.distances[chunk], run.params)
+            hits = np.empty(prev.shape, dtype=bool)
+            for a in (0, 1):
+                mask_a = prev if a else ~prev
+                # the a -> 1 hits; the other visits of a are the a -> 0 hits
+                np.logical_and(mask_a, cur, out=hits)
+                for b in (1, 0):
+                    if b == 0:
+                        hits ^= mask_a
+                    if self.distance_weighted:
+                        sums[a, b] = np.einsum("ijk,ik->i", hits, weights[a])
+                    else:
+                        sums[a, b] = np.count_nonzero(hits.reshape(len(hits), -1),
+                                                      axis=1)
+
+    def _check_complete(self) -> None:
+        missing = self.config.trials - self._done
+        if missing:
+            raise SimulationError(f"{missing} trials of the run are not tallied")
+
+    @property
+    def mean_edge_density(self) -> float:
+        """Fraction of the run's edge-steps that are on."""
+        self._check_complete()
+        c = self.config
+        return self.on / (c.trials * c.t_steps * c.n_edges)
 
 
 @dataclass(frozen=True)
@@ -316,61 +449,51 @@ class TransitionFrequencies:
     undefined_rows: Tuple[int, ...]
 
 
-def empirical_transition_frequencies(ensemble: TrajectoryEnsemble,
-                                     distance_weighted: bool = True,
+def empirical_transition_frequencies(source, distance_weighted: bool = True,
                                      ) -> TransitionFrequencies:
-    """Pooled a->b transition frequencies over all edges, steps and trials."""
-    if ensemble.config.t_steps < 2:
+    """Pooled a->b transition frequencies over all edges, steps and trials
+    of a :class:`TrajectoryEnsemble`, or of a run's complete
+    :class:`TrajectoryTally` made with the same ``distance_weighted``."""
+    if source.config.t_steps < 2:
         raise SimulationError("transition frequencies need t_steps >= 2")
-    states = ensemble.states
-    prev = states[:, :-1, :]
-    cur = states[:, 1:, :]
-    trials = ensemble.config.trials
-
-    p_on = channel.connection_probability(ensemble.distances, ensemble.config.params)
-    occupancy = {0: 1.0 - p_on, 1: p_on}  # (trials, n_edges)
-    n_opp = (ensemble.config.t_steps - 1) * ensemble.config.n_edges
+    if not isinstance(source, TrajectoryTally):
+        source = TrajectoryTally.of(source, distance_weighted)
+    elif source.distance_weighted != distance_weighted:
+        raise SimulationError(f"the tally holds the sums of distance_weighted="
+                              f"{source.distance_weighted}")
+    source._check_complete()
+    trials = source.config.trials
+    n_opp = (source.config.t_steps - 1) * source.config.n_edges
 
     matrix = np.full((2, 2), np.nan)
     stderr = np.full((2, 2), np.nan)
-    on_visits = int(np.count_nonzero(prev))
-    visits = np.array([prev.size - on_visits, on_visits], dtype=np.int64)
     undefined = []
-    hits = np.empty(prev.shape, dtype=bool)
     for a in (0, 1):
-        if visits[a] == 0:
+        if source.visits[a] == 0:
             undefined.append(a)
             continue
-        mask_a = prev if a else ~prev
-        if distance_weighted:
-            # edges whose occupancy of a underflowed to (sub)normal zero
-            # cannot realize state a; drop them instead of forming 0 * inf
-            occ = occupancy[a]
-            floor = np.finfo(float).tiny
-            w = np.where(occ >= floor, 1.0 / np.maximum(occ, floor), 0.0)
-        else:
-            m = mask_a.sum(axis=(1, 2)).astype(float)
-        # the a -> 1 hits; the other visits of a are the a -> 0 hits
-        np.logical_and(mask_a, cur, out=hits)
+        if not distance_weighted:
+            m = np.add(source.sums[a, 0], source.sums[a, 1], dtype=float)
         for b in (1, 0):
-            if b == 0:
-                hits ^= mask_a
             if distance_weighted:
                 # per-trial mean of weighted indicators; opportunities fixed
-                s = np.einsum("ijk,ik->i", hits, w) / n_opp
+                s = source.sums[a, b] / n_opp
                 matrix[a, b] = float(np.mean(s))
                 stderr[a, b] = float(np.std(s, ddof=1) / np.sqrt(trials)) if trials > 1 else np.nan
             else:
-                s = hits.sum(axis=(1, 2)).astype(float)
+                s = source.sums[a, b].astype(float)
                 ratio = s.sum() / m.sum()
                 matrix[a, b] = float(ratio)
                 if trials > 1:
-                    resid = s - ratio * m
+                    # the squared residuals s - ratio * m, in s's array
+                    s -= ratio * m
+                    s *= s
                     stderr[a, b] = float(
-                        np.sqrt(np.sum(resid ** 2) * trials / (trials - 1)) / m.sum())
+                        np.sqrt(np.sum(s) * trials / (trials - 1)) / m.sum())
                 else:
                     stderr[a, b] = np.nan
-    return TransitionFrequencies(matrix=matrix, stderr=stderr, visits=visits,
+    return TransitionFrequencies(matrix=matrix, stderr=stderr,
+                                 visits=source.visits.copy(),
                                  distance_weighted=distance_weighted,
                                  undefined_rows=tuple(undefined))
 
@@ -388,8 +511,10 @@ class BlockEntropyEstimate:
     n_observed_sequences: int
 
 
-def empirical_block_entropy(ensemble: TrajectoryEnsemble, t: int) -> BlockEntropyEstimate:
-    """Plug-in entropy of length-t trajectories of edge 0, one per trial.
+def empirical_block_entropy(source, t: int) -> BlockEntropyEstimate:
+    """Plug-in entropy of length-t trajectories of edge 0, one per trial, of
+    a :class:`TrajectoryEnsemble` or of a run's complete
+    :class:`TrajectoryTally`.
 
     Pooling a single designated edge per independent trial keeps the samples
     i.i.d. draws from the distance mixture.  Warns when not all 2**t
@@ -398,10 +523,15 @@ def empirical_block_entropy(ensemble: TrajectoryEnsemble, t: int) -> BlockEntrop
     """
     if not 1 <= t <= 12:
         raise SimulationError(f"block length must be in [1, 12], got {t}")
-    if t > ensemble.config.t_steps:
+    if t > source.config.t_steps:
         raise SimulationError(
-            f"block length {t} exceeds t_steps {ensemble.config.t_steps}")
-    bits = ensemble.states[:, :t, 0].astype(np.int64)
+            f"block length {t} exceeds t_steps {source.config.t_steps}")
+    if isinstance(source, TrajectoryTally):
+        source._check_complete()
+        heads = source.heads[:, :t]
+    else:
+        heads = source.states[:, :t, 0]
+    bits = heads.astype(np.int64)
     codes = bits @ (1 << np.arange(t, dtype=np.int64))
     counts = np.bincount(codes, minlength=1 << t)
     n = int(counts.sum())
@@ -457,28 +587,30 @@ def stationarity_check(ensemble: TrajectoryEnsemble) -> StationarityReport:
                               flagged_steps=flagged, passed=not flagged)
 
 
-def _digit_runs(count: int):
-    """(start, stop, width): the runs of range(count) with width-digit numbers."""
-    start, width = 0, 1
-    while start < count:
-        stop = min(10 ** width, count)
-        yield start, stop, width
-        start, width = stop, width + 1
+def _digit_runs(start: int, stop: int):
+    """(start, stop, width): the runs of range(start, stop) with width-digit
+    numbers."""
+    width = len(str(start))
+    while start < stop:
+        end = min(10 ** width, stop)
+        yield start, end, width
+        start, width = end, width + 1
 
 
-def _row_runs(trials: int, t_steps: int):
+def _row_runs(first_trial: int, trials: int, t_steps: int):
     """(start, stop, (trial digits, step digits)) of each run of consecutive
-    rows whose numbers have equal digit counts; row trial * t_steps + step
-    is (trial, step)."""
-    step_runs = list(_digit_runs(t_steps))
-    for first, stop, trial_width in _digit_runs(trials):
+    rows whose numbers have equal digit counts; row i * t_steps + step is
+    (first_trial + i, step)."""
+    step_runs = list(_digit_runs(0, t_steps))
+    for first, stop, trial_width in _digit_runs(first_trial, first_trial + trials):
+        first, stop = first - first_trial, stop - first_trial
         if len(step_runs) == 1:
             # every step has one digit: the run spans whole trials
             yield first * t_steps, stop * t_steps, (trial_width, 1)
             continue
-        for trial in range(first, stop):
+        for i in range(first, stop):
             for step, step_stop, step_width in step_runs:
-                yield (trial * t_steps + step, trial * t_steps + step_stop,
+                yield (i * t_steps + step, i * t_steps + step_stop,
                        (trial_width, step_width))
 
 
@@ -491,56 +623,75 @@ def _digits(numbers: np.ndarray, width: int) -> np.ndarray:
     return digits
 
 
-def _block_template(tails, trial_width: int, step_width: int):
+# the batches of a run share their templates: at most one per step digit
+# count is in use at a time, so runs of fewer than 10**4 steps rebuild none
+@functools.lru_cache(maxsize=4)
+def _block_template(n: int, trial_width: int, step_width: int):
     """Lines of one (trial, step) block whose numbers have these digit counts.
 
     Returns the block's bytes with '0' in every trial digit, step digit and
     state, and the columns of those: (trial_width, E), (step_width, E) and
-    (E,) for the E edges.
+    (E,) for the E edges of n nodes, all read-only.
     """
     lead = b"0" * trial_width + b"," + b"0" * step_width + b","
+    tails = [b"%d,%d," % (i, j) for i, j in edge_pairs(n)]
     block = np.frombuffer(b"".join(lead + tail + b"0\n" for tail in tails),
                           dtype=np.uint8)
     widths = len(lead) + np.array([len(tail) for tail in tails]) + 2
     starts = np.cumsum(widths) - widths
-    return (block, starts + np.arange(trial_width)[:, None],
-            starts + trial_width + 1 + np.arange(step_width)[:, None],
-            starts + widths - 2)
+    columns = (starts + np.arange(trial_width)[:, None],
+               starts + trial_width + 1 + np.arange(step_width)[:, None],
+               starts + widths - 2)
+    for cols in columns:
+        cols.setflags(write=False)
+    return (block,) + columns
 
 
 def export_snapshots(ensemble: TrajectoryEnsemble, fh) -> None:
     """Write the ensemble as 'trial,step,edge_i,edge_j,state' CSV lines to
-    the binary handle ``fh``, as ASCII bytes.
+    the binary handle ``fh``, as ASCII bytes, after the header line where
+    the ensemble starts at trial 0.  The batches of a run
+    (:meth:`SimConfig.batches`), written in order, so give the run's lines.
 
     The lines of one (trial, step) block form one unit.  After the header,
     each ``fh.write`` passes at most ``_WRITE_BYTES`` bytes, or one block
     where a block is longer, so the memory the export adds to the
     ensemble's is bounded whatever the trial and step counts.
     """
-    fh.write(b"trial,step,edge_i,edge_j,state\n")
+    first_trial = ensemble.config.first_trial
+    if first_trial == 0:
+        fh.write(b"trial,step,edge_i,edge_j,state\n")
     trials, t_steps, n_edges = ensemble.states.shape
     states = ensemble.states.reshape(-1, n_edges).view(np.uint8)
-    tails = [b"%d,%d," % (i, j) for i, j in ensemble.pairs]
-    # the template of each digit count pair is made once; a write refills
-    # only the digit and state columns of a buffer of whole blocks, so the
-    # commas and edge ids stay in place
-    templates = {}
-    buf_widths = None
-    for first, stop, widths in _row_runs(trials, t_steps):
-        if widths not in templates:
-            templates[widths] = _block_template(tails, *widths)
-        block, trial_cols, step_cols, state_cols = templates[widths]
+    # a buffer of whole blocks is made from the template of its digit counts;
+    # a write refills only its step digit and state columns, and its trial
+    # digit columns where the trial changes, so the commas and edge ids stay
+    # in place
+    buf_widths = buf_trial = None
+    for first, stop, widths in _row_runs(first_trial, trials, t_steps):
+        block, trial_cols, step_cols, state_cols = _block_template(
+            ensemble.config.n, *widths)
         if widths != buf_widths:
             buf = None  # free the previous buffer before making the next
             buf = np.empty((max(1, _WRITE_BYTES // block.size), block.size),
                            dtype=np.uint8)
             buf[:] = block
-            buf_widths = widths
+            buf_widths, buf_trial = widths, None
         for start in range(first, stop, len(buf)):
             end = min(start + len(buf), stop)
-            rows = np.arange(start, end)
+            rows = np.arange(start, end, dtype=_U64)
             out = buf[:end - start]
-            out[:, trial_cols] = _digits(rows // t_steps, widths[0])
+            trial = first_trial + start // t_steps
+            if trial == first_trial + (end - 1) // t_steps:
+                # every line of the buffer is of this trial
+                if trial != buf_trial:
+                    buf[:, trial_cols] = _digits(np.array([trial], dtype=_U64),
+                                                 widths[0])
+                    buf_trial = trial
+            else:
+                out[:, trial_cols] = _digits(_U64(first_trial) + rows // t_steps,
+                                             widths[0])
+                buf_trial = None
             out[:, step_cols] = _digits(rows % t_steps, widths[1])
             out[:, state_cols] = states[start:end] + ord("0")
             fh.write(out.ravel())

@@ -5,12 +5,13 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netentropy import channel, cli, quadrature, validation
+from netentropy import channel, cli, quadrature, simulator, validation
 from netentropy.channel import ChannelParams
 
 
@@ -351,6 +352,94 @@ class TestSimulate:
         metrics = [r["metric"] for r in rows]
         assert "transition_frequency" not in metrics  # needs two steps
         assert metrics.count("mean_edge_density") == 1
+
+    @pytest.mark.parametrize("batch_trials", [1, 2, 3])
+    def test_batches_give_the_one_batch_bytes(self, tmp_path, monkeypatch, batch_trials):
+        # 12 trials of 11 steps cross the 9 -> 10 trial and step numbers
+        # inside a batch and between batches; each trial's 6 edge streams
+        # take 3 Philox blocks
+        args = ["simulate", "--nodes", "4", "--steps", "11", "--trials", "12",
+                "--seed", "8", "--nu", "20000", "--symbol-rate", "1e6"]
+
+        def run(tag):
+            out, summary = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.sum.csv"
+            assert cli.main(args + ["--out", str(out), "--summary", str(summary)]) == 0
+            return out.read_bytes(), summary.read_bytes()
+
+        whole = run("whole")
+        monkeypatch.setattr(simulator, "_BATCH_BLOCKS", 18 * batch_trials)
+        assert run("batched") == whole
+
+    def test_snapshots_to_stdout(self, tmp_path):
+        # '-' streams the snapshots to stdout: a pipe reads the bytes that
+        # --out writes to a file
+        args = ["simulate", "--nodes", "4", "--steps", "12", "--trials", "11",
+                "--seed", "5"]
+        assert cli.main(args + ["--out", str(tmp_path / "snap.csv"),
+                                "--summary", str(tmp_path / "file.sum.csv")]) == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-m", "netentropy", *args, "--out", "-",
+                               "--summary", "pipe.sum.csv"], cwd=tmp_path, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (tmp_path / "snap.csv").read_bytes()
+        assert ((tmp_path / "pipe.sum.csv").read_bytes()
+                == (tmp_path / "file.sum.csv").read_bytes())
+        assert not (tmp_path / "-").exists()
+
+    def test_reader_closing_the_pipe_ends_quietly(self, tmp_path):
+        # a reader that takes the first lines and closes the pipe (| head)
+        # stops the run without an error message
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.Popen([sys.executable, "-m", "netentropy", "simulate",
+                                 "--trials", "3", "--out", "-", "--summary", "s.csv"],
+                                cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert head[0] == b"trial,step,edge_i,edge_j,state\n"
+        assert head[1].startswith(b"0,0,0,1,")
+        assert err == b""
+        assert proc.returncode == 1
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("summary", [[], ["--summary", "-"]])
+    def test_stdout_needs_summary(self, tmp_path, capsys, monkeypatch, summary):
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["simulate", "--nodes", "3", "--steps", "2", "--trials", "1",
+                         "--out", "-"] + summary)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--summary" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_does_not_grow_with_trials(self, tmp_path):
+        # the run is streamed one batch of states at a time (traced numpy and
+        # Python allocations).  A batch holds at most 1 MiB of states, 24
+        # trials here, so from 4 trials to 64 the peak grows by about one
+        # batch's states, and then only by the per-trial tallies.  Holding
+        # every trial's states, and two more arrays of that size for the
+        # summary, grew the peak from 3.11 MB at 4 trials to 9.48 MB at 64
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                assert cli.main(["simulate", "--nodes", "30", "--steps", "100",
+                                 "--trials", str(trials), "--seed", "3",
+                                 "--out", str(tmp_path / "snap.csv"),
+                                 "--summary", str(tmp_path / "sum.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # fills the module's caches; not compared
+        at_4, at_64, at_256 = peak(4), peak(64), peak(256)
+        assert at_64 - at_4 < 1.25 * 2 ** 20
+        assert at_256 - at_64 < 256 * 1024
+
 
 class TestFileErrors:
     @pytest.mark.parametrize("command", ["bounds-sweep", "simulate", "oracle"])

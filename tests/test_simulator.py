@@ -1,10 +1,12 @@
 """Monte Carlo ensemble generation and empirical estimators."""
 
 import collections
+import dataclasses
 import fractions
 import hashlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from netentropy.channel import ChannelParams
 from netentropy.simulator import (
     SimConfig,
     SimulationError,
+    TrajectoryTally,
     edge_pairs,
     empirical_block_entropy,
     empirical_transition_frequencies,
@@ -591,3 +594,139 @@ class TestExport:
         assert len(lines) == 1 + 2 * 2 * 3  # trials * steps * edges
         first = lines[1].split(",")
         assert first[:4] == ["0", "0", "0", "1"] and first[4] in ("0", "1")
+
+
+def batch_of(ensemble, start, stop):
+    """The ensemble's trials start to stop - 1 as a batch of its run."""
+    config = ensemble.config
+    return simulator.TrajectoryEnsemble(
+        config=dataclasses.replace(config, first_trial=config.first_trial + start,
+                                   trials=stop - start),
+        initial_state=ensemble.initial_state,
+        positions=ensemble.positions[start:stop],
+        distances=ensemble.distances[start:stop],
+        states=ensemble.states[start:stop])
+
+
+def streamed(config, initial_state):
+    """Snapshot bytes and the tallies, distance-weighted and not, of a run
+    streamed batch by batch, as the simulate command streams it."""
+    fh = io.BytesIO()
+    tallies = [TrajectoryTally(config, weighted) for weighted in (True, False)]
+    for batch in config.batches():
+        ens = simulate(batch, initial_state)
+        export_snapshots(ens, fh)
+        for tally in tallies:
+            tally.add(ens)
+    return fh.getvalue(), tallies
+
+
+def assert_same_estimates(tallies, ensemble):
+    """Every estimate of the tallies equal bit for bit to the ensemble's."""
+    for tally in tallies:
+        weighted = tally.distance_weighted
+        fa = empirical_transition_frequencies(tally, distance_weighted=weighted)
+        fb = empirical_transition_frequencies(ensemble, distance_weighted=weighted)
+        assert np.array_equal(fa.matrix, fb.matrix, equal_nan=True)
+        assert np.array_equal(fa.stderr, fb.stderr, equal_nan=True)
+        assert np.array_equal(fa.visits, fb.visits)
+        assert fa.undefined_rows == fb.undefined_rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for t in range(1, min(12, ensemble.config.t_steps) + 1):
+                assert (empirical_block_entropy(tally, t)
+                        == empirical_block_entropy(ensemble, t))
+
+
+class TestBatches:
+    @pytest.mark.parametrize("initial_state", simulator.INITIAL_STATES)
+    @pytest.mark.parametrize("batch_trials", [1, 2, 3])
+    def test_streamed_run_matches_one_batch(self, monkeypatch, batch_trials,
+                                            initial_state):
+        # 12 trials of 11 steps: trial and step numbers reach two digits
+        # inside a batch and across batches.  A trial's 6 edge streams take
+        # 3 blocks each
+        cfg = SimConfig(n=4, t_steps=11, trials=12, seed=2 ** 64 - 9,
+                        domain=geometry.DISK, params=FAST)
+        whole = simulate(cfg, initial_state)
+        assert [b.trials for b in cfg.batches()] == [12]
+        expected = io.BytesIO()
+        export_snapshots(whole, expected)
+        monkeypatch.setattr(simulator, "_BATCH_BLOCKS", 18 * batch_trials)
+        sizes = [b.trials for b in cfg.batches()]
+        assert sizes[:-1] == [batch_trials] * (len(sizes) - 1) and sum(sizes) == 12
+        got, tallies = streamed(cfg, initial_state)
+        assert got == expected.getvalue()
+        for tally in tallies:
+            assert (tally.mean_edge_density
+                    == np.count_nonzero(whole.states) / whole.states.size)
+        assert_same_estimates(tallies, whole)
+
+    @pytest.mark.parametrize("shape, batch_trials", [
+        ((16, 100, 50), (1, 3, 7)),  # simulate's n = 50
+        ((4000, 4, 2), (1, 3, 7, 4000)),
+    ])
+    def test_tally_does_not_depend_on_batching(self, monkeypatch, shape, batch_trials):
+        trials, t_steps, n = shape
+        whole = simulate(SimConfig(n=n, t_steps=t_steps, trials=trials, seed=17,
+                                   domain=SQ, params=FAST))
+        # a tally sums an ensemble one batch of its trials at a time; with
+        # batches of every trial, it sums each added ensemble at once
+        monkeypatch.setattr(simulator, "_BATCH_BLOCKS", 2 ** 40)
+        for weighted in (True, False):
+            ref = TrajectoryTally.of(whole, weighted)
+            for size in batch_trials:
+                tally = TrajectoryTally(whole.config, weighted)
+                for start in range(0, trials, size):
+                    tally.add(batch_of(whole, start, min(start + size, trials)))
+                assert np.array_equal(tally.sums, ref.sums), (weighted, size)
+                assert np.array_equal(tally.visits, ref.visits), (weighted, size)
+                assert np.array_equal(tally.heads, ref.heads), (weighted, size)
+                assert tally.on == ref.on == np.count_nonzero(whole.states)
+
+    def test_first_trial_offsets_the_streams(self):
+        cfg = SimConfig(n=5, t_steps=6, trials=10, seed=3, domain=SQ, params=FAST)
+        whole = simulate(cfg)
+        part = simulate(dataclasses.replace(cfg, first_trial=4, trials=3))
+        ref = batch_of(whole, 4, 7)
+        for name in ("positions", "distances", "states"):
+            assert np.array_equal(getattr(part, name), getattr(ref, name)), name
+        with pytest.raises(SimulationError):
+            dataclasses.replace(cfg, first_trial=2 ** 64 - 9)
+        with pytest.raises(SimulationError):
+            dataclasses.replace(cfg, first_trial=-1)
+
+    def test_export_of_last_trial_numbers(self):
+        # 20-digit trial numbers up to the last 64-bit counter; the header
+        # goes before trial 0 only
+        cfg = SimConfig(n=3, t_steps=12, trials=3, seed=5, domain=SQ, params=FAST,
+                        first_trial=2 ** 64 - 3)
+        ens = simulate(cfg)
+        got = io.BytesIO()
+        export_snapshots(ens, got)
+        lines = got.getvalue().decode("ascii").splitlines()
+        assert len(lines) == 3 * 12 * 3
+        assert lines[0].startswith(f"{2 ** 64 - 3},0,0,1,")
+        assert lines[-1] == f"{2 ** 64 - 1},11,1,2,{int(ens.states[-1, -1, -1])}"
+
+    def test_tally_takes_the_run_in_order(self):
+        cfg = SimConfig(n=3, t_steps=4, trials=4, seed=1, domain=SQ, params=FAST)
+        first = dataclasses.replace(cfg, trials=2)
+        second = dataclasses.replace(cfg, first_trial=2, trials=2)
+        tally = TrajectoryTally(cfg)
+        with pytest.raises(SimulationError, match="not the next batch"):
+            tally.add(simulate(second))
+        tally.add(simulate(first))
+        with pytest.raises(SimulationError, match="2 trials of the run are not tallied"):
+            empirical_transition_frequencies(tally)
+        for bad in (first, dataclasses.replace(second, seed=2),
+                    dataclasses.replace(second, trials=3)):
+            with pytest.raises(SimulationError, match="not the next batch"):
+                tally.add(simulate(bad))
+        tally.add(simulate(second))
+        with pytest.raises(SimulationError, match="distance_weighted=True"):
+            empirical_transition_frequencies(tally, distance_weighted=False)
+        assert empirical_transition_frequencies(tally).visits.sum() == 4 * 3 * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert empirical_block_entropy(tally, 4).n_samples == 4
