@@ -15,10 +15,8 @@ from .channel import (
     slow_fading_report,
 )
 from .entropy import (
-    BlockEntropyResult,
     EdgeMoments,
     EntropyRateBounds,
-    block_entropy_oracle,
     block_entropy_profile,
     edge_moments,
     entropy_rate_bounds,
@@ -50,10 +48,8 @@ __all__ = [
     "connection_probability",
     "level_crossing_rate",
     "slow_fading_report",
-    "BlockEntropyResult",
     "EdgeMoments",
     "EntropyRateBounds",
-    "block_entropy_oracle",
     "block_entropy_profile",
     "edge_moments",
     "entropy_rate_bounds",

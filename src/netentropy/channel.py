@@ -9,18 +9,19 @@ down as r -> 0 where the off state has vanishing probability, so transition
 entries are clamped into [0, 1 - CLAMP_EPS] and every clamping event is
 counted in :data:`clamp_diagnostics`.
 
-The unclamped flip probabilities are written once: p01 in ``_unclamped_p01``
-at a given x = (r/r0)**eta and e**-x, and p10 in ``_p10`` from the LCR
-factor.  ``_unclamped_rates`` evaluates both at r for the clamped rates, the
-clamp radii and the admissibility report.  The integrands of the distance
-averages take the whole link law at once from :func:`link_probabilities`: p,
-p01 and p10 from one x and one e**-x per node, equal bit for bit to
-:func:`connection_probability` and :func:`transition_probabilities`.  p10 grows as sqrt(x) and p01 as
-g(x) = sqrt(x)/(e**x - 1), where g' has the sign of (e**x - 1)/2 - x e**x,
-negative as 1 - e**-x < x < 2x: p01 strictly falls in r, p10 strictly rises.
-Both depend on nu and B only through nu/B, and on r only through x, so the
-p01 clamp radius is one root in x per nu, solved by Newton's method on the
-kernel in x; the module needs only numpy.
+The link law is written once, in the kernel ``_unclamped_law``: the
+unclamped p, p01 and p10 from one x = (r/r0)**eta and one e**-x.  The clamp
+radii and the admissibility report read it unclamped.
+:func:`link_probabilities` clamps its flip probabilities; the integrands of
+the distance averages and the simulator's tiles take the whole law from it,
+:func:`transition_probabilities` is its flip part, and
+:func:`connection_probability` gives the same p alone, counting no clamp events.
+
+p10 grows as sqrt(x) and p01 as g(x) = sqrt(x)/(e**x - 1), where g' has the
+sign of (e**x - 1)/2 - x e**x, negative as 1 - e**-x < x < 2x: p01 strictly
+falls in r, p10 strictly rises.  Both depend on nu and B only through nu/B,
+and on r only through x, so the p01 clamp radius is one root in x per nu,
+solved by Newton's method on the kernel in x; the module needs only numpy.
 
 :class:`ChannelParams` may hold a batch of points: r0 and nu as 1-D arrays,
 which broadcast against the trailing axis of a distance array, while eta and
@@ -210,72 +211,45 @@ def _lcr_factor(x, params: ChannelParams):
     return SQRT_2PI * params.nu * np.sqrt(x)
 
 
-def _unclamped_rates(r, params: ChannelParams):
-    """Unclamped flip probabilities (p01, p10) at distance r, a float or an
-    array.
+def _unclamped_law(r, params: ChannelParams):
+    """Unclamped (p, p01, p10) at distance r, a float or an array, from one
+    x = (r/r0)**eta and one e**-x.
 
-    p10 = LCR / (p * B) and p01 = LCR / ((1 - p) * B).  At r == 0 exactly,
-    p01 is 0 by convention (the off state is unreachable there).  At r > 0
-    p01 diverges like 1/sqrt(x) as x -> 0, so where x = (r/r0)**eta
-    underflows to 0 it is +inf (0 for a frozen chain, nu == 0); where it
-    overflows p01 is 0.
+    p10 = LCR / (p * B), where the exp(-x) of the LCR cancels against p,
+    and p01 = LCR / ((1 - p) * B).  At r == 0 exactly, p01 is 0 by
+    convention (the off state is unreachable there).  At r > 0 p01 diverges
+    like 1/sqrt(x) as x -> 0, so where x underflows to 0 it is +inf (0 for
+    a frozen chain, nu == 0); where x overflows p and p01 are 0.
     """
     x = _x(r, params)
-    p01, lcr = _unclamped_p01(r, x, np.exp(-x), params)
-    return p01, _p10(lcr, params)
-
-
-def _unclamped_p01(r, x, on, params: ChannelParams):
-    """The p01 of :func:`_unclamped_rates` at x = _x(r, params) and
-    on = e**-x, and the :func:`_lcr_factor` from which p10 follows."""
+    p = np.exp(-x)
     lcr = _lcr_factor(x, params)
     # p01 = lcr e^-x / ((1 - e^-x) B); -expm1(-x) = 1 - e^-x
     denom = -np.expm1(-x)
     limit = np.where(r > 0.0, np.where(params.nu > 0.0, np.inf, 0.0), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p01 = np.where(denom > 0.0, lcr * on / (denom * params.B), limit)
-    return p01, lcr
+        p01 = np.where(denom > 0.0, lcr * p / (denom * params.B), limit)
+    return p, p01, lcr / params.B
 
 
-def _p10(lcr, params: ChannelParams):
-    """The unclamped p10 from the :func:`_lcr_factor`: the exp(-x) of the
-    LCR cancels against the on probability."""
-    return lcr / params.B
-
-
-def _clamped(p01, p10):
-    """``p01`` and ``p10`` clamped into [0, 1 - CLAMP_EPS], each clamped
-    entry counted in clamp_diagnostics."""
+def link_probabilities(r, params: ChannelParams):
+    """(p, p01, p10) at distance r: p = :func:`connection_probability` and
+    the flip probabilities of :func:`_unclamped_law` clamped into
+    [0, 1 - CLAMP_EPS], each clamped entry counted in clamp_diagnostics."""
+    p, p01, p10 = _unclamped_law(_check_r(r), params)
     hi = 1.0 - CLAMP_EPS
     n_clamped = int(np.count_nonzero(p01 > hi) + np.count_nonzero(p10 > hi))
     if n_clamped:
         clamp_diagnostics.record(n_clamped)
         p01 = np.minimum(p01, hi)
         p10 = np.minimum(p10, hi)
-    return p01, p10
+    return tuple(_shape_back(r, params, v) for v in (p, p01, p10))
 
 
 def transition_probabilities(r, params: ChannelParams):
-    """Clamped flip probabilities (p01, p10) vectorized over distance.
-
-    The unclamped entries of :func:`_unclamped_rates`, clamped into
-    [0, 1 - CLAMP_EPS].  Clamping events go to clamp_diagnostics.
-    """
-    p01, p10 = _clamped(*_unclamped_rates(_check_r(r), params))
-    return _shape_back(r, params, p01), _shape_back(r, params, p10)
-
-
-def link_probabilities(r, params: ChannelParams):
-    """(p, p01, p10) at distance r: :func:`connection_probability` and
-    :func:`transition_probabilities`, bit for bit, from one x = (r/r0)**eta
-    and one e**-x per distance.  Clamping events go to clamp_diagnostics,
-    as there."""
-    arr = _check_r(r)
-    x = _x(arr, params)
-    on = np.exp(-x)
-    p01, lcr = _unclamped_p01(arr, x, on, params)
-    p01, p10 = _clamped(p01, _p10(lcr, params))
-    return tuple(_shape_back(r, params, v) for v in (on, p01, p10))
+    """Clamped flip probabilities (p01, p10) vectorized over distance: the
+    flip part of :func:`link_probabilities`."""
+    return link_probabilities(r, params)[1:]
 
 
 def clamp_radii(params: ChannelParams, diameter: float):
@@ -298,14 +272,14 @@ def clamp_radii(params: ChannelParams, diameter: float):
     pts = params.batch()
     hi = 1.0 - CLAMP_EPS
     law = params.squeezed()
-    p01, p10 = _unclamped_rates(np.full(pts.shape, float(diameter)), law)
+    _, p01, p10 = _unclamped_law(np.full(pts.shape, float(diameter)), law)
     nu, of_nu = np.unique(pts.nu, return_inverse=True)
     r01 = pts.r0 * _p01_cap_x(nu, pts.B)[of_nu] ** (1.0 / pts.eta)
     # p01 diverges at 0+: it crosses the cap below D unless it is above it there
     r01 = np.where(p01 <= hi, r01, np.nan)
     while True:
         pair = np.stack([np.nextafter(r01, 0.0), r01])
-        above = _unclamped_rates(pair, law)[0] > hi
+        above = _unclamped_law(pair, law)[1] > hi
         # step up while p01 is above the cap at r, down while it is not at the
         # float below; p01 is 0 at r == 0 by convention, so a walk ends there
         up, down = above[1], ~above[0] & (r01 > 0.0)
@@ -339,13 +313,13 @@ def _p01_cap_x(nu: np.ndarray, B: float) -> np.ndarray:
     hi = 1.0 - CLAMP_EPS
     lo, up = _TINY, -np.log(_TINY)
     # r0 = eta = 1: the kernel in x
-    p01 = _unclamped_rates(np.array([[lo], [up]]), ChannelParams._view(1.0, 1.0, nu, B))[0]
+    p01 = _unclamped_law(np.array([[lo], [up]]), ChannelParams._view(1.0, 1.0, nu, B))[1]
     root = (p01[0] > hi) & (p01[1] <= hi)
     law = ChannelParams._view(1.0, 1.0, nu[root], B)
     x = np.minimum(SQRT_2PI * law.nu / (hi * B), np.sqrt(up)) ** 2
     step = np.inf
     while not (np.abs(step) <= 2.0 ** -26).all():
-        step = np.log(_unclamped_rates(x, law)[0] / hi) / (x / -np.expm1(-x) - 0.5)
+        step = np.log(_unclamped_law(x, law)[1] / hi) / (x / -np.expm1(-x) - 0.5)
         x = np.clip(x * np.exp(step), lo, up)
     x01 = np.full(nu.shape, np.nan)
     x01[root] = x
@@ -380,8 +354,8 @@ def slow_fading_report(params: ChannelParams, domain: Domain) -> SlowFadingRepor
     D = domain.diameter
     r_occ = pts.r0 * (-np.log1p(-OCCUPANCY_FLOOR)) ** (1.0 / pts.eta)
     r_occ = np.minimum(np.maximum(R_MIN_FRACTION * D, r_occ), D)
-    p01, p10 = _unclamped_rates(np.stack([r_occ, np.full_like(r_occ, D)]),
-                                params.squeezed())
+    _, p01, p10 = _unclamped_law(np.stack([r_occ, np.full_like(r_occ, D)]),
+                                 params.squeezed())
     fields = dict(
         max_p01=p01[0],
         max_p10=p10[1],

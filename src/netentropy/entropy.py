@@ -244,16 +244,6 @@ def entropy_rate_bounds(n: int, domain: Domain, params: ChannelParams,
     return _per_point(params, out)
 
 
-@dataclass(frozen=True)
-class BlockEntropyResult:
-    """Exact block entropy H(X^1..X^t) of one edge and its increment
-    h_t = H(X^1..X^t) - H(X^1..X^{t-1})."""
-
-    t: int
-    block_entropy: float
-    conditional_increment: float
-
-
 def _compositions(n: int, parts: int) -> int:
     """Ways to write n as an ordered sum of ``parts`` positive integers."""
     if parts == 0:
@@ -358,11 +348,3 @@ def block_entropy_profile(domain: Domain, params: ChannelParams, t_max: int,
             probs = probs[same] + probs[flipped]
     h = np.diff(H, prepend=0.0)
     return H, h
-
-
-def block_entropy_oracle(domain: Domain, params: ChannelParams, t: int,
-                         spec: QuadratureSpec = DEFAULT_SPEC) -> BlockEntropyResult:
-    """Exact single-edge block entropy at horizon t (1 <= t <= 12)."""
-    H, h = block_entropy_profile(domain, params, t, spec)
-    return BlockEntropyResult(t=t, block_entropy=float(H[-1]),
-                              conditional_increment=float(h[-1]))

@@ -313,15 +313,14 @@ def simulate(config: SimConfig, initial_state: str = "stationary") -> Trajectory
     positions, distances = sample_positions(config)
     states = np.empty((config.trials, t, n_edges), dtype=bool)
 
-    # tiles of a batch of trials by a slice of their edges; the rates are
-    # made per tile, so the working set stays within the tile's budget
+    # tiles of a batch of trials by a slice of their edges; the link law is
+    # evaluated once per tile, so the working set stays within its budget
     per_stream = _blocks(t)
     for rows in _chunks(config.trials, per_stream):
         trials = slice(config.first_trial + rows.start, config.first_trial + rows.stop)
         for edges in _chunks(n_edges, per_stream * (rows.stop - rows.start)):
             dist = distances[rows, edges]
-            p_on = channel.connection_probability(dist, config.params)
-            p01, p10 = channel.transition_probabilities(dist, config.params)
+            p_on, p01, p10 = channel.link_probabilities(dist, config.params)
             states[rows, :, edges] = _step_chains(
                 config.seed, trials, edges, t, p_on, p01, p10, initial_state)
 

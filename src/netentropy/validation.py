@@ -212,7 +212,7 @@ def check_sandwich(level: str):
                 for eta in etas:
                     params = ChannelParams(r0, eta, nu, 12e6)
                     b = entropy.entropy_rate_bounds(2, dom, params)
-                    h8 = entropy.block_entropy_oracle(dom, params, 8).conditional_increment
+                    h8 = entropy.block_entropy_profile(dom, params, 8)[1][-1]
                     worst = max(worst, b.per_edge_lower - h8, h8 - b.per_edge_upper)
     return worst <= 1e-6, f"max bound violation = {worst:.2e} (slack 1e-06)"
 

@@ -167,9 +167,9 @@ class TestTransitionMatrix:
         assert transition_probabilities(1.0, frozen) == (0.0, 0.0)
         assert level_crossing_rate(1.0, frozen) == 0.0
         # the kernel takes a Python float as numpy does, not raising OverflowError
-        p01, p10 = channel._unclamped_rates(1.0, params)
+        _, p01, p10 = channel._unclamped_law(1.0, params)
         assert p01 == 0.0 and p10 > hi
-        assert channel._unclamped_rates(1.0, frozen) == (0.0, 0.0)
+        assert channel._unclamped_law(1.0, frozen)[1:] == (0.0, 0.0)
 
     def test_clamping_recorded(self, paper_params):
         clamp_diagnostics.reset()
@@ -303,8 +303,8 @@ def scan_reference(params, domain):
     lo = np.minimum(np.maximum(channel.R_MIN_FRACTION * D, pts.r0 * x_occ ** (1.0 / pts.eta)), D)
     grid01 = np.geomspace(lo, D, 2048)
     grid10 = np.geomspace(min(channel.R_MIN_FRACTION * D, D), D, 2048)[:, None]
-    p01 = channel._unclamped_rates(grid01, params.squeezed())[0].max(axis=0)
-    p10 = channel._unclamped_rates(grid10, params.squeezed())[1].max(axis=0)
+    p01 = channel._unclamped_law(grid01, params.squeezed())[1].max(axis=0)
+    p10 = channel._unclamped_law(grid10, params.squeezed())[2].max(axis=0)
     if not params.shape:
         return lo[0].item(), p01[0].item(), p10[0].item()
     return lo, p01, p10
@@ -332,7 +332,7 @@ def test_report_ends_are_the_scan_maxima(r0, eta, nu, B, name, seed):
     assert rep.admissible == (max(max_p01, max_p10) <= channel.THETA_SLOW)
     # the monotonicity the ends rest on, on sorted random radii in (0, D)
     r = np.sort(np.random.default_rng(seed).uniform(0.0, domain.diameter, 64))
-    p01, p10 = channel._unclamped_rates(r, params)
+    _, p01, p10 = channel._unclamped_law(r, params)
     assert np.all(p01[1:] <= p01[:-1]) and np.all(p10[1:] >= p10[:-1])
 
 
@@ -344,17 +344,24 @@ def brentq_p01_radius(params, diameter):
     r_lo = max(params.r0 * 1e-300 ** (1.0 / params.eta), 1e-300)
     # across a bracket of some 300 decades at eta < 1, brentq can need about
     # 120 iterations, past its default limit of 100
-    return brentq(lambda r: channel._unclamped_rates(r, params)[0] - hi,
+    return brentq(lambda r: channel._unclamped_law(r, params)[1] - hi,
                   r_lo, diameter, xtol=1e-300, rtol=1e-15, maxiter=500)
+
+
+def p01_radius_ulps(params):
+    """Ulps of r the p01 radius may sit from brentq's: 8, or 16/eta below
+    eta = 2.  At small x p01 goes as (r/r0)**(-eta/2), so a last-bit error in
+    p01 moves its crossing by 2/eta times as many ulps in r."""
+    return 8 * max(1.0, 2.0 / params.eta)
 
 
 def assert_p01_radius(params, radius, diameter):
     """p01 root within a few ulps of brentq's, the cap crossed around it."""
     hi = 1.0 - channel.CLAMP_EPS
     ref = brentq_p01_radius(params, diameter)
-    assert abs(radius - ref) <= 8 * np.spacing(ref), (radius, ref)
-    p01_above = channel._unclamped_rates(radius * (1 + 1e-12), params)[0]
-    p01_below = channel._unclamped_rates(radius * (1 - 1e-12), params)[0]
+    assert abs(radius - ref) <= p01_radius_ulps(params) * np.spacing(ref), (radius, ref)
+    p01_above = channel._unclamped_law(radius * (1 + 1e-12), params)[1]
+    p01_below = channel._unclamped_law(radius * (1 - 1e-12), params)[1]
     assert p01_above <= hi < p01_below
 
 
@@ -368,15 +375,16 @@ def test_p01_radius_is_the_kernel_crossing(r0, eta, nu, B, name):
     hi = 1.0 - channel.CLAMP_EPS
     # p01 diverges at 0+, so it crosses the cap in (0, D) unless it is above
     # it at D
-    assume(channel._unclamped_rates(D, params)[0] <= hi)
+    assume(channel._unclamped_law(D, params)[1] <= hi)
     # the p01 radius, picked by the crossing: where p10 also clamps, its
     # radius can sort first; the two floats go in one call, as a scalar call
     # and an array call of the kernel can differ in the last bit
-    crossing = [r for r in clamp_radii(params, D) if (channel._unclamped_rates(
-        np.array([np.nextafter(r, 0.0), r]), params)[0] > hi).tolist() == [True, False]]
+    crossing = [r for r in clamp_radii(params, D) if (channel._unclamped_law(
+        np.array([np.nextafter(r, 0.0), r]), params)[1] > hi).tolist() == [True, False]]
     assert len(crossing) == 1
     ref = brentq_p01_radius(params, D)
-    assert abs(crossing[0] - ref) <= 8 * np.spacing(ref), (crossing[0], ref)
+    bound = p01_radius_ulps(params) * np.spacing(ref)
+    assert abs(crossing[0] - ref) <= bound, (crossing[0], ref)
 
 
 class TestClampRadii:
@@ -397,7 +405,7 @@ class TestClampRadii:
         # read p01 = 0 and dropped the radius, though p01(0.2) is about 15
         params = ChannelParams(r0, 19.0, 500.0, 12e6)
         hi = 1.0 - channel.CLAMP_EPS
-        assert channel._unclamped_rates(0.2, params)[0] > hi
+        assert channel._unclamped_law(0.2, params)[1] > hi
         radii = clamp_radii(params, geometry.SQUARE.diameter)
         assert len(radii) == 1
         assert_p01_radius(params, radii[0], geometry.SQUARE.diameter)
@@ -451,13 +459,13 @@ def scalar_clamp_radii(params, diameter):
     hi = 1.0 - channel.CLAMP_EPS
     r_lo = max(params.r0 * channel._TINY ** (1.0 / params.eta), channel._TINY)
     ends = np.array([r_lo, diameter])
-    p01, p10 = channel._unclamped_rates(ends, params)
+    _, p01, p10 = channel._unclamped_law(ends, params)
     radii = []
     if r_lo < diameter and p01[0] > hi and p01[1] <= hi:
         lo, up = ends.view(np.int64).tolist()
         while up - lo > 1:
             bits = lo + ((up - lo) * KSECTION_STEPS).astype(np.int64)
-            above = channel._unclamped_rates(bits.view(np.float64), params)[0] > hi
+            above = channel._unclamped_law(bits.view(np.float64), params)[1] > hi
             i = int(above.argmin())
             if above[i]:
                 lo = int(bits[-1])

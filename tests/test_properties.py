@@ -41,7 +41,7 @@ def test_random_draws_satisfy_model_identities(draw):
     # bounds ordered, inside [0, 1], sandwiching the oracle increment
     b = entropy.entropy_rate_bounds(5, dom, params)
     assert 0.0 <= b.per_edge_lower <= b.per_edge_upper <= 1.0
-    h4 = entropy.block_entropy_oracle(dom, params, 4).conditional_increment
+    h4 = entropy.block_entropy_profile(dom, params, 4)[1][-1]
     assert b.per_edge_lower - 1e-6 <= h4 <= b.per_edge_upper + 1e-6
 
     # joint-consistent conditional entropy equals the t=2 increment
