@@ -6,16 +6,16 @@ scatterers flip the link state at the fading level crossing rate; dividing
 that rate by the symbols per second spent in a state gives the per-step
 transition probabilities of a two-state Markov chain.  The division breaks
 down as r -> 0 where the off state has vanishing probability, so transition
-entries are clamped into [0, 1 - CLAMP_EPS] and every clamping event is
-counted in :data:`clamp_diagnostics`.
+entries are clamped into [0, 1 - CLAMP_EPS]; :func:`clamp_radii` gives the
+radii where they meet the cap.
 
 The link law is written once, in the kernel ``_unclamped_law``: the
 unclamped p, p01 and p10 from one x = (r/r0)**eta and one e**-x.  The clamp
 radii and the admissibility report read it unclamped.
-:func:`link_probabilities` clamps its flip probabilities; the integrands of
+:func:`link_probabilities` caps its flip probabilities; the integrands of
 the distance averages and the simulator's tiles take the whole law from it,
-:func:`transition_probabilities` is its flip part, and
-:func:`connection_probability` gives the same p alone, counting no clamp events.
+:func:`transition_probabilities` is its flip part and
+:func:`connection_probability` its p.
 
 p10 grows as sqrt(x) and p01 as g(x) = sqrt(x)/(e**x - 1), where g' has the
 sign of (e**x - 1)/2 - x e**x, negative as 1 - e**-x < x < 2x: p01 strictly
@@ -159,22 +159,6 @@ class ChannelParams:
         return self.at(0) if self.shape == (1,) else self
 
 
-@dataclass
-class ClampDiagnostics:
-    """Counts how often transition entries had to be clamped."""
-
-    events: int = 0
-
-    def record(self, count: int):
-        self.events += int(count)
-
-    def reset(self):
-        self.events = 0
-
-
-clamp_diagnostics = ClampDiagnostics()
-
-
 def _check_r(r) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all(arr >= 0.0):
@@ -196,8 +180,9 @@ def _x(r, params: ChannelParams):
 
 
 def connection_probability(r, params: ChannelParams):
-    """Probability exp(-(r/r0)**eta) that a link at distance r is on."""
-    return _shape_back(r, params, np.exp(-_x(_check_r(r), params)))
+    """Probability exp(-(r/r0)**eta) that a link at distance r is on: the p
+    of :func:`link_probabilities`."""
+    return link_probabilities(r, params)[0]
 
 
 def level_crossing_rate(r, params: ChannelParams):
@@ -233,17 +218,11 @@ def _unclamped_law(r, params: ChannelParams):
 
 
 def link_probabilities(r, params: ChannelParams):
-    """(p, p01, p10) at distance r: p = :func:`connection_probability` and
-    the flip probabilities of :func:`_unclamped_law` clamped into
-    [0, 1 - CLAMP_EPS], each clamped entry counted in clamp_diagnostics."""
+    """(p, p01, p10) at distance r: the law of :func:`_unclamped_law` with
+    both flip probabilities capped at 1 - CLAMP_EPS."""
     p, p01, p10 = _unclamped_law(_check_r(r), params)
     hi = 1.0 - CLAMP_EPS
-    n_clamped = int(np.count_nonzero(p01 > hi) + np.count_nonzero(p10 > hi))
-    if n_clamped:
-        clamp_diagnostics.record(n_clamped)
-        p01 = np.minimum(p01, hi)
-        p10 = np.minimum(p10, hi)
-    return tuple(_shape_back(r, params, v) for v in (p, p01, p10))
+    return tuple(_shape_back(r, params, v) for v in (p, np.minimum(p01, hi), np.minimum(p10, hi)))
 
 
 def transition_probabilities(r, params: ChannelParams):

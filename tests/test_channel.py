@@ -12,7 +12,6 @@ from netentropy import channel, cli, geometry
 from netentropy.channel import (
     ChannelError,
     ChannelParams,
-    clamp_diagnostics,
     clamp_radii,
     connection_probability,
     level_crossing_rate,
@@ -133,9 +132,7 @@ class TestTransitionMatrix:
         assert transition_probabilities(0.5, params) == (0.0, 0.0)
 
     def test_zero_distance_convention(self, paper_params):
-        before = clamp_diagnostics.events
         assert transition_probabilities(0.0, paper_params) == (0.0, 0.0)
-        assert clamp_diagnostics.events == before
 
     @pytest.mark.parametrize("r", [1e-18, 1e-30])
     def test_underflowed_power_clamps(self, r):
@@ -171,12 +168,14 @@ class TestTransitionMatrix:
         assert p01 == 0.0 and p10 > hi
         assert channel._unclamped_law(1.0, frozen)[1:] == (0.0, 0.0)
 
-    def test_clamping_recorded(self, paper_params):
-        clamp_diagnostics.reset()
-        # deep in the divergence region
-        p01, _ = transition_probabilities(1e-6, paper_params)
+    def test_clamping_caps_p01(self, paper_params):
+        # deep in the divergence region p01 is capped; p10 is far below the
+        # cap and passes through as the kernel gives it
+        p01, p10 = transition_probabilities(1e-6, paper_params)
+        _, raw01, raw10 = channel._unclamped_law(1e-6, paper_params)
+        assert raw01 > 1.0 - channel.CLAMP_EPS
         assert p01 == 1.0 - channel.CLAMP_EPS
-        assert clamp_diagnostics.events == 1
+        assert p10 == raw10
 
     def test_detailed_balance_and_stationarity(self, paper_params):
         # the on-probability of the chain's stationary law is p(r); on a
@@ -202,37 +201,52 @@ def law_distances(params, diameter):
     return np.array(r)
 
 
-def separate_and_fused(r, params):
-    """(p, p01, p10) and the clamp events of connection_probability and
-    transition_probabilities, then those of link_probabilities."""
-    out = []
-    for calls in ((connection_probability, transition_probabilities), (link_probabilities,)):
-        before = clamp_diagnostics.events
-        law = []
-        for fn in calls:
-            value = fn(r, params)
-            law += list(value) if isinstance(value, tuple) else [value]
-        out.append((law, clamp_diagnostics.events - before))
-    return out
+def reference_law(r, params):
+    """Closed-form (p, p01, p10), each capped at 1 - CLAMP_EPS, written in
+    the kernel's operation order so that it agrees bit for bit:
+    x = (r/r0)**eta held at the largest float, p = e**-x,
+    p10 = sqrt(2 pi) nu sqrt(x) / B and
+    p01 = sqrt(2 pi) nu sqrt(x) p / (-expm1(-x) B).  p01 is 0 at r = 0, and
+    +inf where x underflows at r > 0 (0 when nu = 0)."""
+    r = np.asarray(r, dtype=float)
+    with np.errstate(over="ignore"):
+        x = np.minimum((r / params.r0) ** params.eta, np.finfo(float).max)
+    p = np.exp(-x)
+    lcr = SQRT_2PI * params.nu * np.sqrt(x)
+    p10 = lcr / params.B
+    limit = np.where(r > 0.0, np.where(params.nu > 0.0, np.inf, 0.0), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p01 = np.where(x > 0.0, lcr * p / (-np.expm1(-x) * params.B), limit)
+    hi = 1.0 - channel.CLAMP_EPS
+    return p, np.minimum(p01, hi), np.minimum(p10, hi)
+
+
+def fused_and_separate(r, params):
+    """(p, p01, p10) of link_probabilities, then of connection_probability
+    and transition_probabilities."""
+    return [link_probabilities(r, params),
+            (connection_probability(r, params), *transition_probabilities(r, params))]
 
 
 class TestLinkProbabilities:
-    """One x and one e**-x per distance give the separate functions' law."""
+    """link_probabilities and the separate functions give the closed-form
+    law bit for bit, the cap applied to both flips."""
 
     @pytest.mark.parametrize("r0, eta, nu, B", LAW_POINTS)
     def test_equals_separate_functions(self, r0, eta, nu, B):
         params = ChannelParams(r0, eta, nu, B)
         D = geometry.SQUARE.diameter
         r = law_distances(params, D)
-        (want, want_events), (got, got_events) = separate_and_fused(r, params)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-        assert got_events == want_events
+        want = reference_law(r, params)
+        for got in fused_and_separate(r, params):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
         if nu > 0.0:
-            assert want_events > 0
+            assert (want[1] == 1.0 - channel.CLAMP_EPS).any()
         for one in (0.0, 1e-18, 1.0):
-            (want, _), (got, _) = separate_and_fused(one, params)
-            assert got == want and all(isinstance(v, float) for v in got)
+            want = [float(v) for v in reference_law(one, params)]
+            for got in fused_and_separate(one, params):
+                assert list(got) == want and all(isinstance(v, float) for v in got)
 
     @pytest.mark.parametrize("eta, B", [(2.0, 1e3), (19.0, 12e6), (300.0, 12e6)])
     def test_equals_separate_functions_over_points(self, eta, B):
@@ -242,10 +256,12 @@ class TestLinkProbabilities:
         cols = [law_distances(params.at(j), D) for j in range(4)]
         M = max(len(c) for c in cols)
         r = np.stack([np.pad(c, (0, M - len(c)), mode="edge") for c in cols], axis=1)
-        (want, want_events), (got, got_events) = separate_and_fused(r, params)
-        for a, b in zip(got, want):
-            assert a.shape == r.shape and np.array_equal(a, b)
-        assert got_events == want_events > 0
+        want = reference_law(r, params)
+        for got in fused_and_separate(r, params):
+            for a, b in zip(got, want):
+                assert a.shape == r.shape and np.array_equal(a, b)
+        hi = 1.0 - channel.CLAMP_EPS
+        assert (want[1] == hi).any() or (want[2] == hi).any()
 
 
 class TestStationaryDistribution:
