@@ -188,12 +188,21 @@ def connection_probability(r, params: ChannelParams):
 def level_crossing_rate(r, params: ChannelParams):
     """Threshold crossing rate of the fading SNR at distance r, in Hz."""
     x = _x(_check_r(r), params)
-    return _shape_back(r, params, _lcr_factor(x, params) * np.exp(-x))
+    return _shape_back(r, params, _lcr(_lcr_factor(x, params), np.exp(-x)))
 
 
 def _lcr_factor(x, params: ChannelParams):
-    """The LCR without its exp(-x) factor: sqrt(2 pi) nu sqrt(x)."""
-    return SQRT_2PI * params.nu * np.sqrt(x)
+    """The LCR without its exp(-x) factor: sqrt(2 pi) nu sqrt(x), inf where
+    that overflows (at a huge nu)."""
+    with np.errstate(over="ignore"):
+        return SQRT_2PI * params.nu * np.sqrt(x)
+
+
+def _lcr(factor, p):
+    """The LCR, ``factor * p`` with p = e**-x, and its limit 0 where e**-x
+    underflows to 0, even where the factor overflowed to inf."""
+    with np.errstate(invalid="ignore"):
+        return np.where(p > 0.0, factor * p, 0.0)
 
 
 def _unclamped_law(r, params: ChannelParams):
@@ -204,7 +213,8 @@ def _unclamped_law(r, params: ChannelParams):
     and p01 = LCR / ((1 - p) * B).  At r == 0 exactly, p01 is 0 by
     convention (the off state is unreachable there).  At r > 0 p01 diverges
     like 1/sqrt(x) as x -> 0, so where x underflows to 0 it is +inf (0 for
-    a frozen chain, nu == 0); where x overflows p and p01 are 0.
+    a frozen chain, nu == 0); where e**-x underflows to 0 p and p01 are 0,
+    whatever nu.
     """
     x = _x(r, params)
     p = np.exp(-x)
@@ -212,9 +222,11 @@ def _unclamped_law(r, params: ChannelParams):
     # p01 = lcr e^-x / ((1 - e^-x) B); -expm1(-x) = 1 - e^-x
     denom = -np.expm1(-x)
     limit = np.where(r > 0.0, np.where(params.nu > 0.0, np.inf, 0.0), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p01 = np.where(denom > 0.0, lcr * p / (denom * params.B), limit)
-    return p, p01, lcr / params.B
+    # a huge nu overflows the flip probabilities to inf, their limit
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p01 = np.where(denom > 0.0, _lcr(lcr, p) / (denom * params.B), limit)
+        p10 = lcr / params.B
+    return p, p01, p10
 
 
 def link_probabilities(r, params: ChannelParams):

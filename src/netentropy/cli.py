@@ -137,14 +137,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                      seed=args.seed, domain=domain_from_name(args.domain),
                                      params=_channel_params(args))
     tally = simulator.TrajectoryTally(sim_config)
-    # one batch of states at a time goes to the export and to the tally, so
-    # the memory held does not grow with the trial count
+    # one piece of states at a time goes to the export and to the tally, so
+    # the memory held does not grow with the trial or the step count; each
+    # piece continues the one before where it continues its trial
     with _open_binary(args.out) as fh:
-        for batch in sim_config.batches():
-            ensemble = simulator.simulate(batch)
-            simulator.export_snapshots(ensemble, fh)
-            tally.add(ensemble)
-            del ensemble  # freed before the next batch is made
+        piece = None
+        for window in sim_config.pieces():
+            piece = simulator.simulate(window, previous=piece)
+            simulator.export_snapshots(piece, fh)
+            tally.add(piece)
         fh.flush()
         # written before the snapshots are closed: a file opened just after
         # a large rewritten one is closed can wait for its writeback (ext4)

@@ -13,14 +13,18 @@ compared with a probability p, and u < p holds exactly where the integer
 ``word >> 11 < ceil(p * 2**53)``, so the edge lanes are stepped on the words
 and never made doubles.  The blocks come from an in-repo numpy kernel,
 checked in the tests against ``np.random.Philox`` started at counter
-``[0, 0, trial, lane]``, which emits block k = 1 first.  As every stream is
-addressed by its counter, the simulator generates and steps tiles of streams,
-a batch of trials by a slice of their edges, and any tiling gives
-bit-identical ensembles.  So does any cut of a run into consecutive trial
-ranges (:meth:`SimConfig.batches`): the simulate command generates a run one
-such batch at a time and hands each to the snapshot export and to a
-:class:`TrajectoryTally`, whose per-trial sums the estimators read, so it
-never holds more than one batch of states.
+``[0, 0, trial, lane]``, which emits block k = 1 first.
+
+As every stream is addressed by its counter, step s of an edge is word
+s mod 4 of block s // 4 + 1 whichever tile draws it, so any tiling of a
+run's trials, edges and steps gives bit-identical ensembles, as long as each
+step range continues the states of the step before.  The simulate command
+cuts a run into pieces (:meth:`SimConfig.pieces`), in export order: runs of
+whole trials, or runs of whole steps of one trial's edges, of at most one
+tile's blocks.  It generates each piece from the one before, and hands it to
+the snapshot export and to a :class:`TrajectoryTally`, which keeps exact
+integer transition counts per edge across a trial's pieces.  So it never
+holds more than a piece of states, whatever the trial and step counts.
 """
 
 from __future__ import annotations
@@ -46,19 +50,14 @@ _SHIFT32 = _U64(32)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-# Philox blocks generated per tile of streams: bounds the temporary working
-# set (about 90 bytes per block, 1.5 MB) whatever n, t and the trial count,
-# as long as one stream of t draws fits.  With tiles of 32768 blocks, the
-# simulate command's streamed n = 50, T = 100, 16-trial run faulted in
-# about 9,800 pages per call against 1,000 (the allocator handed each
-# tile's arrays back to the system) and took 6% longer
+# Philox blocks per tile of streams and per piece of SimConfig.pieces: a
+# tile's temporary working set is about 90 bytes per block (1.5 MB), and a
+# piece's states 4 bytes per block (64 KiB), unless one block of every edge
+# of a trial needs more.  With tiles of 32768 blocks, the simulate command's
+# n = 50, T = 100, 16-trial run faulted in about 9,800 pages per call
+# against 1,000 (the allocator handed each tile's arrays back to the
+# system) and took 6% longer
 _CHUNK_BLOCKS = 16384
-# Philox blocks per batch of SimConfig.batches: a batch's states, 4 bytes per
-# block, take at most 1 MiB unless one trial needs more.  Batches of one
-# trial at n = 50, T = 100 made the simulate command 14% slower than
-# holding the whole run: each batch draws its positions, steps one-trial
-# tiles that share no Philox products, and calls the export and the tally
-_BATCH_BLOCKS = 262144
 # export_snapshots passes fh.write at most this many bytes at a time, or one
 # (trial, step) block of lines where that is longer
 _WRITE_BYTES = 256 * 1024
@@ -75,9 +74,10 @@ class SimulationError(ValueError):
 class SimConfig:
     """Monte Carlo run description; identical configs give identical output.
 
-    The run holds trials ``first_trial`` to ``first_trial + trials - 1``.
-    Trial i draws streams (i, lane) whichever run holds it, so consecutive
-    trial ranges of one run give that run's trials, bit for bit.
+    The run holds steps ``first_step`` to ``first_step + t_steps - 1`` of
+    trials ``first_trial`` to ``first_trial + trials - 1``.  Step s of trial
+    i draws word s of streams (i, lane) whichever run holds it, so the
+    pieces of a run (:meth:`pieces`) give that run's states, bit for bit.
     """
 
     n: int
@@ -87,6 +87,7 @@ class SimConfig:
     domain: Domain
     params: ChannelParams
     first_trial: int = 0
+    first_step: int = 0
 
     def __post_init__(self):
         if self.n < 2:
@@ -99,19 +100,39 @@ class SimConfig:
             raise SimulationError("seed must be a 64-bit unsigned integer")
         if not 0 <= self.first_trial <= 2 ** 64 - self.trials:
             raise SimulationError("trial numbers must be 64-bit unsigned integers")
+        if not 0 <= self.first_step <= 2 ** 64 - self.t_steps:
+            raise SimulationError("step numbers must be 64-bit unsigned integers")
 
     @property
     def n_edges(self) -> int:
         return self.n * (self.n - 1) // 2
 
-    def batches(self):
-        """The run's consecutive trial ranges, as configs, each of as many
-        whole trials as ``_BATCH_BLOCKS`` Philox blocks hold, and at least
-        one."""
-        size = max(1, _BATCH_BLOCKS // (_blocks(self.t_steps) * self.n_edges))
-        for start in range(0, self.trials, size):
-            yield replace(self, first_trial=self.first_trial + start,
-                          trials=min(size, self.trials - start))
+    def pieces(self):
+        """The run's consecutive pieces, as configs, in export order.
+
+        Where all steps of one trial fit in ``_CHUNK_BLOCKS`` Philox blocks,
+        a piece is as many whole trials as fit; otherwise it is
+        :func:`_piece_steps` steps of one trial, the trial's last piece
+        what remains.
+        """
+        steps = _piece_steps(self.n_edges)
+        if steps >= self.t_steps:
+            size = max(1, _CHUNK_BLOCKS // (_blocks(self.t_steps) * self.n_edges))
+            for start in range(0, self.trials, size):
+                yield replace(self, first_trial=self.first_trial + start,
+                              trials=min(size, self.trials - start))
+            return
+        stop = self.first_step + self.t_steps
+        for trial in range(self.first_trial, self.first_trial + self.trials):
+            for start in range(self.first_step, stop, steps):
+                yield replace(self, first_trial=trial, trials=1, first_step=start,
+                              t_steps=min(steps, stop - start))
+
+
+def _piece_steps(n_edges: int) -> int:
+    """Steps of a one-trial piece: as many whole Philox blocks of every edge
+    as ``_CHUNK_BLOCKS`` holds, and at least one."""
+    return 4 * max(1, _CHUNK_BLOCKS // n_edges)
 
 
 def _mulhilo(m: int, x: np.ndarray):
@@ -196,13 +217,16 @@ def _thresholds(p):
     return np.ceil(np.multiply(p, 2.0 ** 53)).astype(_U64)
 
 
-def _step_chains(seed: int, trials: slice, edges: slice, t_steps: int,
-                 p_on, p01, p10, initial_state: str) -> np.ndarray:
-    """(trials, t_steps, edges) states of the edge chains of these indices.
+def _step_chains(seed: int, trials: slice, edges: slice, steps: slice,
+                 p_on, p01, p10, initial_state: str, carry=None) -> np.ndarray:
+    """(trials, steps, edges) states of the edge chains of these indices.
 
-    Edge e of trial i draws stream (i, e); its first draw decides a
-    stationary start, the one at step s > 0 whether the chain flips from
-    step s - 1.  The probabilities broadcast against (trials, edges).
+    Edge e of trial i draws stream (i, e); step s reads word s mod 4 of
+    block s // 4 + 1.  The first draw decides a stationary start, the one
+    at step s > 0 whether the chain flips from step s - 1.  A step range
+    that starts after step 0 continues ``carry``, the chains' states at the
+    step before it.  The probabilities and ``carry`` broadcast against
+    (trials, edges).
 
     The draws are never made doubles: each word's top 53 bits are compared
     with :func:`_thresholds` of the probabilities, which gives the same
@@ -210,38 +234,49 @@ def _step_chains(seed: int, trials: slice, edges: slice, t_steps: int,
     where u >= p10, so each step is ``(previous & differs) ^ turn_on`` with
     ``differs`` where those two tests disagree.
     """
-    k = np.arange(1, _blocks(t_steps) + 1, dtype=_U64)
+    first, count = steps.start, steps.stop - steps.start
+    k = np.arange(first // 4 + 1, _blocks(steps.stop) + 1, dtype=_U64)
     # block-major words, (blocks, trials, edges) each: the trials share the
     # (block, lane) products of round 2
     words = _philox4x64((k[:, None, None], _U64(0), _indices(trials)[:, None],
                          _indices(edges)), seed)
     # step-major, so that every step reads and writes contiguous slices
-    turn_on = np.empty((t_steps,) + words[0].shape[1:], dtype=bool)
+    turn_on = np.empty((count,) + words[0].shape[1:], dtype=bool)
     differs = np.empty_like(turn_on)
     on_below, stay_from = _thresholds(p01), _thresholds(p10)
     for j, w in enumerate(words):
-        # word j of block k is the draw of step 4 (k - 1) + j
+        # word j of block k is the draw of step 4 (k - 1) + j; the range's
+        # first such step is in its first block, or in the next where the
+        # range starts after word j
         w >>= _U64(11)
-        steps = slice(j, t_steps, 4)
-        count = len(turn_on[steps])
-        np.less(w[:count], on_below, out=turn_on[steps])
-        np.greater_equal(w[:count], stay_from, out=differs[steps])
+        at = slice((j - first) % 4, count, 4)
+        block = int(j < first % 4)
+        rows = len(turn_on[at])
+        np.less(w[block:block + rows], on_below, out=turn_on[at])
+        np.greater_equal(w[block:block + rows], stay_from, out=differs[at])
     differs ^= turn_on
     st = np.empty_like(turn_on)
-    if initial_state == "stationary":
+    if first:
+        np.bitwise_and(carry, differs[0], out=st[0])
+        st[0] ^= turn_on[0]
+    elif initial_state == "stationary":
         np.less(words[0][0], _thresholds(p_on), out=st[0])
     else:
         st[0] = initial_state == "all_on"
-    for step in range(1, t_steps):
+    for step in range(1, count):
         np.bitwise_and(st[step - 1], differs[step], out=st[step])
         st[step] ^= turn_on[step]
     return st.transpose(1, 0, 2)
 
 
+# every piece of a run is an ensemble of the run's n
+@functools.lru_cache(maxsize=4)
 def edge_pairs(n: int) -> np.ndarray:
-    """(n*(n-1)/2, 2) array of node pairs (i, j), i < j, lexicographic."""
-    iu = np.triu_indices(n, k=1)
-    return np.column_stack(iu)
+    """Read-only (n*(n-1)/2, 2) array of node pairs (i, j), i < j,
+    lexicographic."""
+    pairs = np.column_stack(np.triu_indices(n, k=1))
+    pairs.setflags(write=False)
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -252,7 +287,8 @@ class TrajectoryEnsemble:
     distances : (trials, n_edges) pair distances in edge_pairs order
     states    : (trials, t_steps, n_edges) boolean edge states
 
-    Row i of each array is trial ``config.first_trial + i``.
+    Row i of each array is trial ``config.first_trial + i``, and column s of
+    ``states`` is step ``config.first_step + s``.
     """
 
     config: SimConfig
@@ -265,13 +301,12 @@ class TrajectoryEnsemble:
     def __post_init__(self):
         for arr in (self.positions, self.distances, self.states):
             arr.setflags(write=False)
-        pairs = edge_pairs(self.config.n)
-        pairs.setflags(write=False)
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", edge_pairs(self.config.n))
 
     def snapshot(self, trial: int, step: int) -> np.ndarray:
-        """Symmetric boolean adjacency matrix of one snapshot; ``trial`` is
-        the row, trial ``config.first_trial + trial`` of the run."""
+        """Symmetric boolean adjacency matrix of one snapshot; ``trial`` and
+        ``step`` are the row and column, trial ``config.first_trial + trial``
+        and step ``config.first_step + step`` of the run."""
         n = self.config.n
         adj = np.zeros((n, n), dtype=bool)
         on = self.states[trial, step]
@@ -285,7 +320,7 @@ def sample_positions(config: SimConfig):
     edge_pairs order, of every trial of ``config``, drawn from the position
     lane: the ones :func:`simulate` uses, without stepping any edge chain."""
     n = config.n
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = edge_pairs(n).T
     positions = np.empty((config.trials, n, 2))
     distances = np.empty((config.trials, config.n_edges))
     for trials in _chunks(config.trials, _blocks(2 * n)):
@@ -299,30 +334,50 @@ def sample_positions(config: SimConfig):
     return positions, distances
 
 
-def simulate(config: SimConfig, initial_state: str = "stationary") -> TrajectoryEnsemble:
-    """Generate the seeded ensemble of edge-state trajectories.
+def simulate(config: SimConfig, initial_state: str = "stationary",
+             previous: TrajectoryEnsemble = None) -> TrajectoryEnsemble:
+    """Generate the seeded ensemble of edge-state trajectories of the
+    trials and steps of ``config``.
 
     Edges start in the stationary conditional law (on with probability
     p(r)), which makes the whole process stationary from the first step;
     ``all_off`` / ``all_on`` give deliberately non-stationary starts for
     diagnostics.
+
+    A run that starts after step 0 continues ``previous``: the ensemble of
+    the same trials whose steps end just before it, such as the piece
+    before it among :meth:`SimConfig.pieces`.  Its positions are reused and
+    its last states carried over.  A run from step 0 does not read
+    ``previous``, so a caller can pass each piece the one before it.
     """
     if initial_state not in INITIAL_STATES:
         raise SimulationError(f"initial_state must be one of {INITIAL_STATES}")
     t, n_edges = config.t_steps, config.n_edges
-    positions, distances = sample_positions(config)
+    if not config.first_step:
+        positions, distances = sample_positions(config)
+        previous = None
+    elif (previous is None or previous.initial_state != initial_state
+          or replace(previous.config, first_step=config.first_step, t_steps=t) != config
+          or previous.config.first_step + previous.config.t_steps != config.first_step):
+        raise SimulationError("a run from a later step continues the ensemble "
+                              "of its trials' steps just before it")
+    else:
+        positions, distances = previous.positions, previous.distances
     states = np.empty((config.trials, t, n_edges), dtype=bool)
+    steps = slice(config.first_step, config.first_step + t)
 
-    # tiles of a batch of trials by a slice of their edges; the link law is
-    # evaluated once per tile, so the working set stays within its budget
-    per_stream = _blocks(t)
+    # tiles of some trials by a slice of their edges over the run's steps;
+    # the link law is evaluated once per tile, so the working set stays
+    # within its budget
+    per_stream = _blocks(steps.stop) - steps.start // 4
     for rows in _chunks(config.trials, per_stream):
         trials = slice(config.first_trial + rows.start, config.first_trial + rows.stop)
         for edges in _chunks(n_edges, per_stream * (rows.stop - rows.start)):
             dist = distances[rows, edges]
             p_on, p01, p10 = channel.link_probabilities(dist, config.params)
             states[rows, :, edges] = _step_chains(
-                config.seed, trials, edges, t, p_on, p01, p10, initial_state)
+                config.seed, trials, edges, steps, p_on, p01, p10, initial_state,
+                None if previous is None else previous.states[rows, -1, edges])
 
     return TrajectoryEnsemble(config=config, initial_state=initial_state,
                               positions=positions, distances=distances,
@@ -343,23 +398,29 @@ def _inverse_occupancies(distances: np.ndarray, params: ChannelParams):
 
 class TrajectoryTally:
     """The sums of a run's edge states that the estimators read, added one
-    batch of trials at a time, in order.
+    piece at a time, in export order (:meth:`SimConfig.pieces`).
 
-    A run streamed batch by batch (:meth:`SimConfig.batches`) so never holds
-    more than one batch of states.  Over the run a tally keeps the count of
-    on edge-steps, ``on``, and of the visits of states 0 and 1 before a
-    step, ``visits``.  Per trial it keeps edge 0's first min(12, t_steps)
-    states, ``heads``, enough for every block length of
-    :func:`empirical_block_entropy`, and the sums of the a -> b transition
-    indicators, ``sums[a, b]``: with ``distance_weighted``, each indicator
-    weighted by the inverse stationary occupancy of state a at the edge's
-    distance, as :func:`empirical_transition_frequencies` weights it, and
-    otherwise the counts.  A trial's sums are those of its own states
-    whichever batch held it, so any batching gives the same estimates, bit
-    for bit.
+    A run streamed piece by piece so never holds more than one piece of
+    states.  Over the run a tally keeps the count of on edge-steps, ``on``,
+    and of the visits of states 0 and 1 before a step, ``visits``.  Per
+    trial it keeps edge 0's first min(12, t_steps) states, ``heads``, enough
+    for every block length of :func:`empirical_block_entropy`, and the sums
+    of the a -> b transition indicators, ``sums[a, b]``: with
+    ``distance_weighted``, each indicator weighted by the inverse stationary
+    occupancy of state a at the edge's distance, as
+    :func:`empirical_transition_frequencies` weights it, and otherwise the
+    counts.
+
+    Over a trial's pieces it keeps exact integer counts per edge, of the
+    steps on and of the steps on after an on step, with the edges' first
+    and last states.  At the trial's end they give each edge's four
+    transition counts, which it sums, weighted, once.  So any cut of a run
+    into pieces gives the same estimates, bit for bit.
     """
 
     def __init__(self, config: SimConfig, distance_weighted: bool = True):
+        if config.first_step:
+            raise SimulationError("a tally holds whole trials, from step 0")
         self.config = config
         self.distance_weighted = distance_weighted
         self.on = 0
@@ -367,7 +428,7 @@ class TrajectoryTally:
         self.heads = np.empty((config.trials, min(12, config.t_steps)), dtype=bool)
         self.sums = np.empty((2, 2, config.trials),
                              dtype=float if distance_weighted else np.int64)
-        self._done = 0
+        self._done = self._step = 0  # the next piece's trial row and step
 
     @classmethod
     def of(cls, ensemble: TrajectoryEnsemble,
@@ -377,43 +438,50 @@ class TrajectoryTally:
         tally.add(ensemble)
         return tally
 
-    def add(self, ensemble: TrajectoryEnsemble) -> None:
-        """Add the sums of the run's next trials, those of ``ensemble``."""
-        run, batch = self.config, ensemble.config
-        first = self._done
-        if (replace(batch, first_trial=run.first_trial, trials=run.trials) != run
-                or batch.first_trial != run.first_trial + first
-                or first + batch.trials > run.trials):
-            raise SimulationError("the ensemble is not the next batch of this run")
-        self._done += batch.trials
-        states = ensemble.states
+    def add(self, piece: TrajectoryEnsemble) -> None:
+        """Add the run's next piece: whole trials, or one trial's next steps."""
+        run, cfg = self.config, piece.config
+        stop = cfg.first_step + cfg.t_steps
+        if (replace(cfg, first_trial=run.first_trial, trials=run.trials,
+                    first_step=0, t_steps=run.t_steps) != run
+                or (cfg.first_trial - run.first_trial, cfg.first_step)
+                != (self._done, self._step)
+                or self._done + cfg.trials > run.trials or stop > run.t_steps
+                or cfg.trials > 1 and (cfg.first_step or stop < run.t_steps)):
+            raise SimulationError("the ensemble is not the next piece of this run")
+        states = piece.states
+        rows = slice(self._done, self._done + cfg.trials)
         self.on += int(np.count_nonzero(states))
-        self.heads[first:self._done] = states[:, :self.heads.shape[1], 0]
-        if run.t_steps < 2:
-            return
-        # as many trials at a time as a tile holds, which bounds the
-        # temporaries by a tile's
-        for chunk in _chunks(batch.trials, _blocks(run.t_steps) * run.n_edges):
-            prev = states[chunk, :-1, :]
-            cur = states[chunk, 1:, :]
-            on_visits = np.count_nonzero(prev)
-            self.visits += (prev.size - on_visits, on_visits)
-            sums = self.sums[:, :, first + chunk.start:first + chunk.stop]
-            if self.distance_weighted:
-                weights = _inverse_occupancies(ensemble.distances[chunk], run.params)
-            hits = np.empty(prev.shape, dtype=bool)
-            for a in (0, 1):
-                mask_a = prev if a else ~prev
-                # the a -> 1 hits; the other visits of a are the a -> 0 hits
-                np.logical_and(mask_a, cur, out=hits)
-                for b in (1, 0):
-                    if b == 0:
-                        hits ^= mask_a
-                    if self.distance_weighted:
-                        sums[a, b] = np.einsum("ijk,ik->i", hits, weights[a])
-                    else:
-                        sums[a, b] = np.count_nonzero(hits.reshape(len(hits), -1),
-                                                      axis=1)
+        heads = self.heads[rows, cfg.first_step:stop]
+        heads[...] = states[:, :heads.shape[1], 0]
+        # per edge: steps on, and steps on after an on step
+        on = np.count_nonzero(states, axis=1)
+        stay = np.count_nonzero(states[:, 1:] & states[:, :-1], axis=1)
+        if cfg.first_step:
+            self._on += on
+            self._stay += stay + (self._last & states[:, 0])
+        else:
+            self._first, self._on, self._stay = states[:, 0].copy(), on, stay
+        self._last = states[:, -1]
+        self._step = stop
+        if stop == run.t_steps:
+            self._done, self._step = rows.stop, 0
+            self._finish(rows, piece.distances)
+
+    def _finish(self, rows: slice, distances: np.ndarray) -> None:
+        """The sums of the trials of ``rows``, from their counts."""
+        steps = self.config.t_steps - 1
+        before, after = self._on - self._last, self._on - self._first
+        on_visits = int(before.sum())
+        self.visits += (before.size * steps - on_visits, on_visits)
+        hits = {(1, 1): self._stay, (1, 0): before - self._stay,
+                (0, 1): after - self._stay}
+        hits[0, 0] = steps - before - hits[0, 1]
+        weights = (_inverse_occupancies(distances, self.config.params)
+                   if self.distance_weighted else (1, 1))
+        for (a, b), count in hits.items():
+            # numpy's pairwise sum, the same on every CPU, not a BLAS dot
+            self.sums[a, b, rows] = (count * weights[a]).sum(axis=1)
 
     def _check_complete(self) -> None:
         missing = self.config.trials - self._done
@@ -596,16 +664,20 @@ def _digit_runs(start: int, stop: int):
         start, width = end, width + 1
 
 
-def _row_runs(first_trial: int, trials: int, t_steps: int):
+def _row_runs(config: SimConfig):
     """(start, stop, (trial digits, step digits)) of each run of consecutive
-    rows whose numbers have equal digit counts; row i * t_steps + step is
-    (first_trial + i, step)."""
-    step_runs = list(_digit_runs(0, t_steps))
-    for first, stop, trial_width in _digit_runs(first_trial, first_trial + trials):
+    rows of ``config`` whose numbers have equal digit counts; row
+    i * t_steps + s is (first_trial + i, first_step + s)."""
+    first_trial, first_step = config.first_trial, config.first_step
+    t_steps = config.t_steps
+    step_runs = [(start - first_step, stop - first_step, width) for start, stop, width
+                 in _digit_runs(first_step, first_step + t_steps)]
+    trial_runs = _digit_runs(first_trial, first_trial + config.trials)
+    for first, stop, trial_width in trial_runs:
         first, stop = first - first_trial, stop - first_trial
         if len(step_runs) == 1:
-            # every step has one digit: the run spans whole trials
-            yield first * t_steps, stop * t_steps, (trial_width, 1)
+            # every step has as many digits: the run spans whole trials
+            yield first * t_steps, stop * t_steps, (trial_width, step_runs[0][2])
             continue
         for i in range(first, stop):
             for step, step_stop, step_width in step_runs:
@@ -622,15 +694,16 @@ def _digits(numbers: np.ndarray, width: int) -> np.ndarray:
     return digits
 
 
-# the batches of a run share their templates: at most one per step digit
+# the pieces of a run share their templates: at most one per step digit
 # count is in use at a time, so runs of fewer than 10**4 steps rebuild none
 @functools.lru_cache(maxsize=4)
 def _block_template(n: int, trial_width: int, step_width: int):
     """Lines of one (trial, step) block whose numbers have these digit counts.
 
     Returns the block's bytes with '0' in every trial digit, step digit and
-    state, and the columns of those: (trial_width, E), (step_width, E) and
-    (E,) for the E edges of n nodes, all read-only.
+    state, and the columns of the lines' first bytes and of their states,
+    (E,) each for the E edges of n nodes, all read-only.  A line's digits
+    follow its first byte, so their columns are kept only while in use.
     """
     lead = b"0" * trial_width + b"," + b"0" * step_width + b","
     tails = [b"%d,%d," % (i, j) for i, j in edge_pairs(n)]
@@ -638,9 +711,7 @@ def _block_template(n: int, trial_width: int, step_width: int):
                           dtype=np.uint8)
     widths = len(lead) + np.array([len(tail) for tail in tails]) + 2
     starts = np.cumsum(widths) - widths
-    columns = (starts + np.arange(trial_width)[:, None],
-               starts + trial_width + 1 + np.arange(step_width)[:, None],
-               starts + widths - 2)
+    columns = (starts, starts + widths - 2)
     for cols in columns:
         cols.setflags(write=False)
     return (block,) + columns
@@ -649,31 +720,32 @@ def _block_template(n: int, trial_width: int, step_width: int):
 def export_snapshots(ensemble: TrajectoryEnsemble, fh) -> None:
     """Write the ensemble as 'trial,step,edge_i,edge_j,state' CSV lines to
     the binary handle ``fh``, as ASCII bytes, after the header line where
-    the ensemble starts at trial 0.  The batches of a run
-    (:meth:`SimConfig.batches`), written in order, so give the run's lines.
+    the ensemble starts at trial 0, step 0.  The pieces of a run
+    (:meth:`SimConfig.pieces`), written in order, so give the run's lines.
 
     The lines of one (trial, step) block form one unit.  After the header,
     each ``fh.write`` passes at most ``_WRITE_BYTES`` bytes, or one block
     where a block is longer, so the memory the export adds to the
     ensemble's is bounded whatever the trial and step counts.
     """
-    first_trial = ensemble.config.first_trial
-    if first_trial == 0:
+    config = ensemble.config
+    first_trial, t_steps = config.first_trial, config.t_steps
+    if first_trial == config.first_step == 0:
         fh.write(b"trial,step,edge_i,edge_j,state\n")
-    trials, t_steps, n_edges = ensemble.states.shape
-    states = ensemble.states.reshape(-1, n_edges).view(np.uint8)
-    # a buffer of whole blocks is made from the template of its digit counts;
-    # a write refills only its step digit and state columns, and its trial
-    # digit columns where the trial changes, so the commas and edge ids stay
-    # in place
+    states = ensemble.states.reshape(-1, config.n_edges).view(np.uint8)
+    # a buffer of whole blocks, no more than the run of rows needs, is made
+    # from the template of its digit counts; a write refills only its step
+    # digit and state columns, and its trial digit columns where the trial
+    # changes, so the commas and edge ids stay in place
     buf_widths = buf_trial = None
-    for first, stop, widths in _row_runs(first_trial, trials, t_steps):
-        block, trial_cols, step_cols, state_cols = _block_template(
-            ensemble.config.n, *widths)
+    for first, stop, widths in _row_runs(config):
         if widths != buf_widths:
+            block, starts, state_cols = _block_template(config.n, *widths)
+            trial_cols = starts + np.arange(widths[0])[:, None]
+            step_cols = starts + (widths[0] + 1) + np.arange(widths[1])[:, None]
             buf = None  # free the previous buffer before making the next
-            buf = np.empty((max(1, _WRITE_BYTES // block.size), block.size),
-                           dtype=np.uint8)
+            buf = np.empty((max(1, min(_WRITE_BYTES // block.size, stop - first)),
+                            block.size), dtype=np.uint8)
             buf[:] = block
             buf_widths, buf_trial = widths, None
         for start in range(first, stop, len(buf)):
@@ -691,6 +763,7 @@ def export_snapshots(ensemble: TrajectoryEnsemble, fh) -> None:
                 out[:, trial_cols] = _digits(_U64(first_trial) + rows // t_steps,
                                              widths[0])
                 buf_trial = None
-            out[:, step_cols] = _digits(rows % t_steps, widths[1])
+            out[:, step_cols] = _digits(_U64(config.first_step) + rows % t_steps,
+                                        widths[1])
             out[:, state_cols] = states[start:end] + ord("0")
             fh.write(out.ravel())

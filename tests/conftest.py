@@ -107,8 +107,9 @@ def pinned_distance_ensemble():
         p01, p10 = channel.transition_probabilities(r, params)
         states = np.empty((trials, t_steps, 1), dtype=bool)
         for chunk in simulator._chunks(trials, simulator._blocks(t_steps)):
-            states[chunk] = simulator._step_chains(seed, chunk, slice(0, 1), t_steps,
-                                                   p_on, p01, p10, "stationary")
+            states[chunk] = simulator._step_chains(seed, chunk, slice(0, 1),
+                                                   slice(0, t_steps), p_on, p01, p10,
+                                                   "stationary")
         return TrajectoryEnsemble(
             config=SimConfig(n=2, t_steps=t_steps, trials=trials, seed=seed,
                              domain=domain, params=params),

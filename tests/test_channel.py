@@ -1,6 +1,7 @@
 """Rayleigh-fading link model: connection function, LCR, transition matrix."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from netentropy import channel, cli, geometry
+from netentropy import channel, cli, geometry, simulator
 from netentropy.channel import (
     ChannelError,
     ChannelParams,
@@ -167,6 +168,37 @@ class TestTransitionMatrix:
         _, p01, p10 = channel._unclamped_law(1.0, params)
         assert p01 == 0.0 and p10 > hi
         assert channel._unclamped_law(1.0, frozen)[1:] == (0.0, 0.0)
+
+    def test_huge_nu_takes_its_limits(self, monkeypatch):
+        # at nu = 1e300 the LCR's factor overflows where x is held at the
+        # largest float; e**-x is 0 there, so p01 and the LCR take their
+        # limit 0, and p10 its cap, with no warning of any kind
+        params = ChannelParams(r0=1e-3, eta=120.0, nu=1e300, B=1e3)
+        hi = 1.0 - channel.CLAMP_EPS
+        seen = []
+        real = simulator._thresholds
+
+        def thresholds(p):
+            seen.append(np.asarray(p))
+            return real(p)
+
+        monkeypatch.setattr(simulator, "_thresholds", thresholds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert link_probabilities(1.0, params) == (0.0, 0.0, hi)
+            assert connection_probability(1.0, params) == 0.0
+            assert level_crossing_rate(1.0, params) == 0.0
+            p, p01, p10 = link_probabilities(np.array([1.0, 1e-3]), params)
+            assert p01.tolist() == [0.0, hi] and p10.tolist() == [hi, hi]
+            assert (level_crossing_rate(1e-3, params)
+                    == pytest.approx(SQRT_2PI * 1e300 / np.e))
+            report = slow_fading_report(params, geometry.SQUARE)
+            assert not report.admissible and report.max_p10 == np.inf
+            ens = simulator.simulate(simulator.SimConfig(
+                n=4, t_steps=6, trials=2, seed=1, domain=geometry.SQUARE,
+                params=params))
+        assert seen and not any(np.isnan(p).any() for p in seen)
+        assert not ens.states.any()
 
     def test_clamping_caps_p01(self, paper_params):
         # deep in the divergence region p01 is capped; p10 is far below the

@@ -205,6 +205,14 @@ def test_simulate_csv_digests(tmp_path):
     assert got == GOLDEN_SIMULATE_CSV
 
 
+@pytest.mark.parametrize("piece_steps", [1, 3, 4])
+def test_simulate_csv_digests_by_piece(tmp_path, monkeypatch, piece_steps):
+    # pieces of 1, 3 and 4 steps of one trial: every piece but the first of
+    # a trial continues the one before, at a block edge or inside a block
+    monkeypatch.setattr(simulator, "_piece_steps", lambda n_edges: piece_steps)
+    test_simulate_csv_digests(tmp_path)
+
+
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
@@ -356,8 +364,9 @@ class TestSimulate:
     @pytest.mark.parametrize("batch_trials", [1, 2, 3])
     def test_batches_give_the_one_batch_bytes(self, tmp_path, monkeypatch, batch_trials):
         # 12 trials of 11 steps cross the 9 -> 10 trial and step numbers
-        # inside a batch and between batches; each trial's 6 edge streams
-        # take 3 Philox blocks
+        # inside a piece of whole trials and between pieces; each trial's 6
+        # edge streams take 3 Philox blocks, so a budget of 18 blocks per
+        # trial makes pieces of batch_trials trials
         args = ["simulate", "--nodes", "4", "--steps", "11", "--trials", "12",
                 "--seed", "8", "--nu", "20000", "--symbol-rate", "1e6"]
 
@@ -367,7 +376,7 @@ class TestSimulate:
             return out.read_bytes(), summary.read_bytes()
 
         whole = run("whole")
-        monkeypatch.setattr(simulator, "_BATCH_BLOCKS", 18 * batch_trials)
+        monkeypatch.setattr(simulator, "_CHUNK_BLOCKS", 18 * batch_trials)
         assert run("batched") == whole
 
     def test_snapshots_to_stdout(self, tmp_path):
@@ -418,12 +427,12 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == []
 
     def test_memory_does_not_grow_with_trials(self, tmp_path):
-        # the run is streamed one batch of states at a time (traced numpy and
-        # Python allocations).  A batch holds at most 1 MiB of states, 24
-        # trials here, so from 4 trials to 64 the peak grows by about one
-        # batch's states, and then only by the per-trial tallies.  Holding
-        # every trial's states, and two more arrays of that size for the
-        # summary, grew the peak from 3.11 MB at 4 trials to 9.48 MB at 64
+        # the run is streamed one piece of states at a time (traced numpy and
+        # Python allocations).  A piece is one trial here (10,875 Philox
+        # blocks of the 16,384 a piece may hold), so the peak grows only by
+        # the per-trial tallies.  Holding every trial's states, and two more
+        # arrays of that size for the summary, grew the peak from 3.11 MB at
+        # 4 trials to 9.48 MB at 64
         def peak(trials):
             tracemalloc.start()
             try:
@@ -439,6 +448,27 @@ class TestSimulate:
         at_4, at_64, at_256 = peak(4), peak(64), peak(256)
         assert at_64 - at_4 < 1.25 * 2 ** 20
         assert at_256 - at_64 < 256 * 1024
+
+    def test_memory_does_not_grow_with_steps(self):
+        # one trial of 66 edges is cut into pieces of 992 steps (248 Philox
+        # blocks of every edge); a piece is made while the one before is
+        # held, so from 2,000 steps on the traced peak is that of two
+        # pieces.  Holding the trial's states grew it from 1.56 MB at 2,000
+        # steps to 3.32 MB at 16,000
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                assert cli.main(["simulate", "--nodes", "12", "--steps", str(steps),
+                                 "--trials", "1", "--seed", "3",
+                                 "--out", os.devnull, "--summary", os.devnull]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert simulator._piece_steps(66) == 992
+        peak(2000)  # fills the module's caches; not compared
+        at_2k, at_16k = peak(2000), peak(16000)
+        assert at_16k - at_2k < 64 * 1024
 
 
 class TestFileErrors:

@@ -187,8 +187,8 @@ class TestStepChains:
     def test_matches_where_recurrence(self, case, initial_state):
         trials, edges, t_steps = slice(3, 8), slice(2, 9), 40
         probs = step_probabilities(case, (5, 7))
-        got = simulator._step_chains(2 ** 64 - 3, trials, edges, t_steps, *probs,
-                                     initial_state)
+        got = simulator._step_chains(2 ** 64 - 3, trials, edges, slice(0, t_steps),
+                                     *probs, initial_state)
         expected = where_step_chains(2 ** 64 - 3, trials, edges, t_steps, *probs,
                                      initial_state)
         assert got.shape == (5, t_steps, 7)
@@ -204,7 +204,8 @@ class TestStepChains:
         # fewer steps than a block, and a last block only partly used
         trials, edges = slice(0, 4), slice(5, 8)
         probs = step_probabilities("array", (4, 3))
-        got = simulator._step_chains(77, trials, edges, t_steps, *probs, initial_state)
+        got = simulator._step_chains(77, trials, edges, slice(0, t_steps), *probs,
+                                     initial_state)
         expected = where_step_chains(77, trials, edges, t_steps, *probs, initial_state)
         assert got.shape == (4, t_steps, 3)
         assert np.array_equal(got, expected)
@@ -597,7 +598,7 @@ class TestExport:
 
 
 def batch_of(ensemble, start, stop):
-    """The ensemble's trials start to stop - 1 as a batch of its run."""
+    """The ensemble's trials start to stop - 1 as a piece of its run."""
     config = ensemble.config
     return simulator.TrajectoryEnsemble(
         config=dataclasses.replace(config, first_trial=config.first_trial + start,
@@ -608,17 +609,39 @@ def batch_of(ensemble, start, stop):
         states=ensemble.states[start:stop])
 
 
+def pieces_of(config, initial_state="stationary"):
+    """The pieces of a run, each made from the one before, as the simulate
+    command makes them."""
+    piece = None
+    for window in config.pieces():
+        piece = simulate(window, initial_state, previous=piece)
+        yield piece
+
+
 def streamed(config, initial_state):
     """Snapshot bytes and the tallies, distance-weighted and not, of a run
-    streamed batch by batch, as the simulate command streams it."""
+    streamed piece by piece, as the simulate command streams it."""
     fh = io.BytesIO()
     tallies = [TrajectoryTally(config, weighted) for weighted in (True, False)]
-    for batch in config.batches():
-        ens = simulate(batch, initial_state)
-        export_snapshots(ens, fh)
+    for piece in pieces_of(config, initial_state):
+        export_snapshots(piece, fh)
         for tally in tallies:
-            tally.add(ens)
+            tally.add(piece)
     return fh.getvalue(), tallies
+
+
+def assembled(config, initial_state):
+    """(positions, distances, states) of a run, put together from its
+    pieces."""
+    positions, distances, states = [], [], []
+    for piece in pieces_of(config, initial_state):
+        if not piece.config.first_step:
+            positions.append(piece.positions)
+            distances.append(piece.distances)
+            states.append([])
+        states[-1].append(piece.states)
+    return (np.concatenate(positions), np.concatenate(distances),
+            np.concatenate([np.concatenate(trial, axis=1) for trial in states]))
 
 
 def assert_same_estimates(tallies, ensemble):
@@ -644,16 +667,17 @@ class TestBatches:
     def test_streamed_run_matches_one_batch(self, monkeypatch, batch_trials,
                                             initial_state):
         # 12 trials of 11 steps: trial and step numbers reach two digits
-        # inside a batch and across batches.  A trial's 6 edge streams take
-        # 3 blocks each
+        # inside a piece and across pieces.  A trial's 6 edge streams take
+        # 3 blocks each, so a budget of 18 blocks per trial makes pieces of
+        # batch_trials whole trials
         cfg = SimConfig(n=4, t_steps=11, trials=12, seed=2 ** 64 - 9,
                         domain=geometry.DISK, params=FAST)
         whole = simulate(cfg, initial_state)
-        assert [b.trials for b in cfg.batches()] == [12]
+        assert [b.trials for b in cfg.pieces()] == [12]
         expected = io.BytesIO()
         export_snapshots(whole, expected)
-        monkeypatch.setattr(simulator, "_BATCH_BLOCKS", 18 * batch_trials)
-        sizes = [b.trials for b in cfg.batches()]
+        monkeypatch.setattr(simulator, "_CHUNK_BLOCKS", 18 * batch_trials)
+        sizes = [b.trials for b in cfg.pieces()]
         assert sizes[:-1] == [batch_trials] * (len(sizes) - 1) and sum(sizes) == 12
         got, tallies = streamed(cfg, initial_state)
         assert got == expected.getvalue()
@@ -666,13 +690,10 @@ class TestBatches:
         ((16, 100, 50), (1, 3, 7)),  # simulate's n = 50
         ((4000, 4, 2), (1, 3, 7, 4000)),
     ])
-    def test_tally_does_not_depend_on_batching(self, monkeypatch, shape, batch_trials):
+    def test_tally_does_not_depend_on_batching(self, shape, batch_trials):
         trials, t_steps, n = shape
         whole = simulate(SimConfig(n=n, t_steps=t_steps, trials=trials, seed=17,
                                    domain=SQ, params=FAST))
-        # a tally sums an ensemble one batch of its trials at a time; with
-        # batches of every trial, it sums each added ensemble at once
-        monkeypatch.setattr(simulator, "_BATCH_BLOCKS", 2 ** 40)
         for weighted in (True, False):
             ref = TrajectoryTally.of(whole, weighted)
             for size in batch_trials:
@@ -714,14 +735,14 @@ class TestBatches:
         first = dataclasses.replace(cfg, trials=2)
         second = dataclasses.replace(cfg, first_trial=2, trials=2)
         tally = TrajectoryTally(cfg)
-        with pytest.raises(SimulationError, match="not the next batch"):
+        with pytest.raises(SimulationError, match="not the next piece"):
             tally.add(simulate(second))
         tally.add(simulate(first))
         with pytest.raises(SimulationError, match="2 trials of the run are not tallied"):
             empirical_transition_frequencies(tally)
         for bad in (first, dataclasses.replace(second, seed=2),
                     dataclasses.replace(second, trials=3)):
-            with pytest.raises(SimulationError, match="not the next batch"):
+            with pytest.raises(SimulationError, match="not the next piece"):
                 tally.add(simulate(bad))
         tally.add(simulate(second))
         with pytest.raises(SimulationError, match="distance_weighted=True"):
@@ -730,3 +751,148 @@ class TestBatches:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert empirical_block_entropy(tally, 4).n_samples == 4
+
+
+# (n, t_steps, trials): a trial's 4 pieces of 3 steps, 3 of 4 steps or 11
+# of 1 step cross the 9 -> 10 step numbers, and the trials the 9 -> 10
+# trial numbers
+PIECE_RUN = (4, 11, 12)
+
+
+def piece_steps(monkeypatch, steps):
+    """Cut every run into pieces of ``steps`` steps of one trial."""
+    monkeypatch.setattr(simulator, "_piece_steps", lambda n_edges: steps)
+
+
+class TestPieces:
+    def test_default_pieces(self):
+        # the budget holds 13 blocks of every edge of 50 nodes; a trial of
+        # 3 edges of 3 blocks each fits 1,820 times
+        big = SimConfig(n=50, t_steps=100, trials=2, seed=0, domain=SQ, params=FAST)
+        assert simulator._piece_steps(big.n_edges) == 52
+        assert [(p.first_trial, p.first_step, p.t_steps) for p in big.pieces()] == [
+            (0, 0, 52), (0, 52, 48), (1, 0, 52), (1, 52, 48)]
+        small = SimConfig(n=3, t_steps=12, trials=3000, seed=0, domain=SQ, params=FAST)
+        assert [(p.first_trial, p.trials) for p in small.pieces()] == [
+            (0, 1820), (1820, 1180)]
+        assert [p.t_steps for p in small.pieces()] == [12] * 2
+
+    @pytest.mark.parametrize("initial_state", simulator.INITIAL_STATES)
+    @pytest.mark.parametrize("steps", [1, 3, 4])
+    def test_streamed_run_matches_whole(self, monkeypatch, steps, initial_state):
+        n, t_steps, trials = PIECE_RUN
+        cfg = SimConfig(n=n, t_steps=t_steps, trials=trials, seed=2 ** 64 - 9,
+                        domain=geometry.DISK, params=FAST)
+        whole = simulate(cfg, initial_state)
+        expected = io.BytesIO()
+        export_snapshots(whole, expected)
+        piece_steps(monkeypatch, steps)
+        windows = [(p.first_trial, p.first_step, p.t_steps) for p in cfg.pieces()]
+        assert windows == [(i, s, min(steps, t_steps - s))
+                           for i in range(trials) for s in range(0, t_steps, steps)]
+        got, tallies = streamed(cfg, initial_state)
+        assert got == expected.getvalue()
+        for tally in tallies:
+            assert tally.on == np.count_nonzero(whole.states)
+            assert np.array_equal(tally.sums, TrajectoryTally.of(
+                whole, tally.distance_weighted).sums)
+        assert_same_estimates(tallies, whole)
+
+    @pytest.mark.parametrize("steps", [1, 3, 4])
+    @pytest.mark.parametrize("case", sorted(GOLDEN_SIMULATE))
+    def test_piece_digests(self, monkeypatch, case, steps):
+        domain, initial_state, n, t_steps, trials, seed = case
+        cfg = SimConfig(n=n, t_steps=t_steps, trials=trials, seed=seed,
+                        domain=geometry.domain_from_name(domain), params=FAST)
+        piece_steps(monkeypatch, steps)
+        assert (tuple(sha256(a) for a in assembled(cfg, initial_state))
+                == GOLDEN_SIMULATE[case])
+
+    @pytest.mark.parametrize("initial_state", simulator.INITIAL_STATES)
+    def test_step_ranges_continue_the_carried_states(self, initial_state):
+        # cuts at every offset inside a block and at its edges
+        trials, edges, t_steps = slice(2, 5), slice(1, 6), 23
+        probs = step_probabilities("array", (3, 5))
+        whole = simulator._step_chains(9, trials, edges, slice(0, t_steps), *probs,
+                                       initial_state)
+        for cuts in ([1], [3], [4], [5, 8], [2, 3, 4, 11, 12, 22]):
+            parts, carry = [], None
+            for start, stop in zip([0] + cuts, cuts + [t_steps]):
+                part = simulator._step_chains(9, trials, edges, slice(start, stop),
+                                              *probs, initial_state, carry)
+                parts.append(part)
+                carry = part[:, -1]
+            assert np.array_equal(np.concatenate(parts, axis=1), whole), cuts
+
+    def test_later_steps_need_the_piece_before(self):
+        cfg = SimConfig(n=3, t_steps=8, trials=2, seed=4, domain=SQ, params=FAST)
+        head = simulate(dataclasses.replace(cfg, t_steps=5))
+        rest = dataclasses.replace(cfg, first_step=5, t_steps=3)
+        whole = simulate(cfg, "all_on")
+        assert np.array_equal(
+            simulate(rest, "all_on", previous=simulate(head.config, "all_on")).states,
+            whole.states[:, 5:])
+        # none; another initial state; other trials; a step missing; another seed
+        for previous in (None, head, batch_of(head, 0, 1),
+                         simulate(dataclasses.replace(head.config, t_steps=4)),
+                         simulate(dataclasses.replace(head.config, seed=5))):
+            with pytest.raises(SimulationError, match="continues the ensemble"):
+                simulate(rest, "all_on", previous=previous)
+        with pytest.raises(SimulationError):
+            dataclasses.replace(cfg, first_step=-1)
+        with pytest.raises(SimulationError):
+            dataclasses.replace(cfg, first_step=2 ** 64 - 7)
+
+    def test_tally_rejects_pieces_out_of_order(self, monkeypatch):
+        cfg = SimConfig(n=3, t_steps=5, trials=3, seed=2, domain=SQ, params=FAST)
+        piece_steps(monkeypatch, 2)
+        pieces = list(pieces_of(cfg))
+        # trial 0 steps 0-1, 2-3, 4; trial 1 steps 0-1, ...
+        assert [(p.config.first_trial, p.config.first_step) for p in pieces[:4]] == [
+            (0, 0), (0, 2), (0, 4), (1, 0)]
+        # the first steps of two trials at once: not in export order
+        two_trials = simulate(dataclasses.replace(cfg, first_trial=1, trials=2,
+                                                  t_steps=2))
+        orders = {
+            "skips a step": [pieces[0], pieces[2]],
+            "repeats a step": [pieces[0], pieces[1], pieces[1]],
+            "reorders steps": [pieces[1]],
+            "skips a trial": pieces[:3] + [pieces[6]],
+            "repeats a trial": pieces[:3] + [pieces[0]],
+            "reorders trials": [pieces[3]],
+            "steps of two trials": pieces[:3] + [two_trials],
+        }
+        for name, order in orders.items():
+            tally = TrajectoryTally(cfg)
+            for piece in order[:-1]:
+                tally.add(piece)
+            with pytest.raises(SimulationError, match="not the next piece"):
+                tally.add(order[-1])
+        tally = TrajectoryTally(cfg)
+        for piece in pieces:
+            tally.add(piece)
+        assert tally.on == np.count_nonzero(simulate(cfg).states)
+        with pytest.raises(SimulationError, match="whole trials"):
+            TrajectoryTally(pieces[1].config)
+
+    def test_header_before_the_first_piece_only(self, monkeypatch):
+        cfg = SimConfig(n=3, t_steps=7, trials=2, seed=6, domain=SQ, params=FAST)
+        piece_steps(monkeypatch, 3)
+        header = b"trial,step,edge_i,edge_j,state\n"
+        for piece in pieces_of(cfg):
+            fh = io.BytesIO()
+            export_snapshots(piece, fh)
+            lines = fh.getvalue().splitlines(True)
+            c = piece.config
+            first = c.first_trial == 0 and c.first_step == 0
+            assert (lines[0] == header) == first, (c.first_trial, c.first_step)
+            assert len(lines) == first + c.t_steps * 3
+            assert lines[first].startswith(b"%d,%d,0,1," % (c.first_trial, c.first_step))
+
+    def test_ensembles_of_one_n_share_their_pairs(self):
+        cfg = SimConfig(n=5, t_steps=2, trials=1, seed=6, domain=SQ, params=FAST)
+        a, b = simulate(cfg), simulate(dataclasses.replace(cfg, seed=7))
+        assert a.pairs is b.pairs
+        assert np.array_equal(a.pairs, edge_pairs(5))
+        with pytest.raises(ValueError):
+            a.pairs[0, 0] = 1
