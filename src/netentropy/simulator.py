@@ -401,42 +401,43 @@ class TrajectoryTally:
     piece at a time, in export order (:meth:`SimConfig.pieces`).
 
     A run streamed piece by piece so never holds more than one piece of
-    states.  Over the run a tally keeps the count of on edge-steps, ``on``,
-    and of the visits of states 0 and 1 before a step, ``visits``.  Per
-    trial it keeps edge 0's first min(12, t_steps) states, ``heads``, enough
-    for every block length of :func:`empirical_block_entropy`, and the sums
-    of the a -> b transition indicators, ``sums[a, b]``: with
-    ``distance_weighted``, each indicator weighted by the inverse stationary
-    occupancy of state a at the edge's distance, as
-    :func:`empirical_transition_frequencies` weights it, and otherwise the
-    counts.
+    states.  Over the run a tally keeps the count of on edge-steps, ``on``.
+    Per trial it keeps edge 0's first min(12, t_steps) states, ``heads``,
+    enough for every block length of :func:`empirical_block_entropy`, and
+    per a -> b transition the count of its indicators, ``counts[a, b]``,
+    and their sum weighted by the inverse stationary occupancy of state a
+    at the edge's distance, ``sums[a, b]``, as
+    :func:`empirical_transition_frequencies` weights it.  So one tally
+    serves both of its weightings.
 
     Over a trial's pieces it keeps exact integer counts per edge, of the
     steps on and of the steps on after an on step, with the edges' first
     and last states.  At the trial's end they give each edge's four
-    transition counts, which it sums, weighted, once.  So any cut of a run
-    into pieces gives the same estimates, bit for bit.
+    transition counts, which it sums, plain and weighted, once.  So any cut
+    of a run into pieces gives the same estimates, bit for bit.
     """
 
-    def __init__(self, config: SimConfig, distance_weighted: bool = True):
+    def __init__(self, config: SimConfig):
         if config.first_step:
             raise SimulationError("a tally holds whole trials, from step 0")
         self.config = config
-        self.distance_weighted = distance_weighted
         self.on = 0
-        self.visits = np.zeros(2, dtype=np.int64)
         self.heads = np.empty((config.trials, min(12, config.t_steps)), dtype=bool)
-        self.sums = np.empty((2, 2, config.trials),
-                             dtype=float if distance_weighted else np.int64)
+        self.sums = np.empty((2, 2, config.trials))
+        self.counts = np.empty((2, 2, config.trials), dtype=np.int64)
         self._done = self._step = 0  # the next piece's trial row and step
 
     @classmethod
-    def of(cls, ensemble: TrajectoryEnsemble,
-           distance_weighted: bool = True) -> "TrajectoryTally":
+    def of(cls, ensemble: TrajectoryEnsemble) -> "TrajectoryTally":
         """The tally of one whole ensemble."""
-        tally = cls(ensemble.config, distance_weighted)
+        tally = cls(ensemble.config)
         tally.add(ensemble)
         return tally
+
+    @property
+    def visits(self) -> np.ndarray:
+        """The run's visits of states 0 and 1 before a step."""
+        return self.counts.sum(axis=(1, 2))
 
     def add(self, piece: TrajectoryEnsemble) -> None:
         """Add the run's next piece: whole trials, or one trial's next steps."""
@@ -451,11 +452,11 @@ class TrajectoryTally:
             raise SimulationError("the ensemble is not the next piece of this run")
         states = piece.states
         rows = slice(self._done, self._done + cfg.trials)
-        self.on += int(np.count_nonzero(states))
         heads = self.heads[rows, cfg.first_step:stop]
         heads[...] = states[:, :heads.shape[1], 0]
         # per edge: steps on, and steps on after an on step
         on = np.count_nonzero(states, axis=1)
+        self.on += int(on.sum())
         stay = np.count_nonzero(states[:, 1:] & states[:, :-1], axis=1)
         if cfg.first_step:
             self._on += on
@@ -469,17 +470,15 @@ class TrajectoryTally:
             self._finish(rows, piece.distances)
 
     def _finish(self, rows: slice, distances: np.ndarray) -> None:
-        """The sums of the trials of ``rows``, from their counts."""
+        """The counts and sums of the trials of ``rows``."""
         steps = self.config.t_steps - 1
         before, after = self._on - self._last, self._on - self._first
-        on_visits = int(before.sum())
-        self.visits += (before.size * steps - on_visits, on_visits)
         hits = {(1, 1): self._stay, (1, 0): before - self._stay,
                 (0, 1): after - self._stay}
         hits[0, 0] = steps - before - hits[0, 1]
-        weights = (_inverse_occupancies(distances, self.config.params)
-                   if self.distance_weighted else (1, 1))
+        weights = _inverse_occupancies(distances, self.config.params)
         for (a, b), count in hits.items():
+            self.counts[a, b, rows] = count.sum(axis=1)
             # numpy's pairwise sum, the same on every CPU, not a BLAS dot
             self.sums[a, b, rows] = (count * weights[a]).sum(axis=1)
 
@@ -516,19 +515,22 @@ class TransitionFrequencies:
     undefined_rows: Tuple[int, ...]
 
 
+def _tally(source) -> TrajectoryTally:
+    """The complete tally ``source``, or the tally of the ensemble ``source``."""
+    if isinstance(source, TrajectoryTally):
+        source._check_complete()
+        return source
+    return TrajectoryTally.of(source)
+
+
 def empirical_transition_frequencies(source, distance_weighted: bool = True,
                                      ) -> TransitionFrequencies:
     """Pooled a->b transition frequencies over all edges, steps and trials
     of a :class:`TrajectoryEnsemble`, or of a run's complete
-    :class:`TrajectoryTally` made with the same ``distance_weighted``."""
+    :class:`TrajectoryTally`."""
     if source.config.t_steps < 2:
         raise SimulationError("transition frequencies need t_steps >= 2")
-    if not isinstance(source, TrajectoryTally):
-        source = TrajectoryTally.of(source, distance_weighted)
-    elif source.distance_weighted != distance_weighted:
-        raise SimulationError(f"the tally holds the sums of distance_weighted="
-                              f"{source.distance_weighted}")
-    source._check_complete()
+    source = _tally(source)
     trials = source.config.trials
     n_opp = (source.config.t_steps - 1) * source.config.n_edges
 
@@ -540,7 +542,7 @@ def empirical_transition_frequencies(source, distance_weighted: bool = True,
             undefined.append(a)
             continue
         if not distance_weighted:
-            m = np.add(source.sums[a, 0], source.sums[a, 1], dtype=float)
+            m = np.add(source.counts[a, 0], source.counts[a, 1], dtype=float)
         for b in (1, 0):
             if distance_weighted:
                 # per-trial mean of weighted indicators; opportunities fixed
@@ -548,7 +550,7 @@ def empirical_transition_frequencies(source, distance_weighted: bool = True,
                 matrix[a, b] = float(np.mean(s))
                 stderr[a, b] = float(np.std(s, ddof=1) / np.sqrt(trials)) if trials > 1 else np.nan
             else:
-                s = source.sums[a, b].astype(float)
+                s = source.counts[a, b].astype(float)
                 ratio = s.sum() / m.sum()
                 matrix[a, b] = float(ratio)
                 if trials > 1:
@@ -560,7 +562,7 @@ def empirical_transition_frequencies(source, distance_weighted: bool = True,
                 else:
                     stderr[a, b] = np.nan
     return TransitionFrequencies(matrix=matrix, stderr=stderr,
-                                 visits=source.visits.copy(),
+                                 visits=source.visits,
                                  distance_weighted=distance_weighted,
                                  undefined_rows=tuple(undefined))
 
@@ -593,12 +595,7 @@ def empirical_block_entropy(source, t: int) -> BlockEntropyEstimate:
     if t > source.config.t_steps:
         raise SimulationError(
             f"block length {t} exceeds t_steps {source.config.t_steps}")
-    if isinstance(source, TrajectoryTally):
-        source._check_complete()
-        heads = source.heads[:, :t]
-    else:
-        heads = source.states[:, :t, 0]
-    bits = heads.astype(np.int64)
+    bits = _tally(source).heads[:, :t].astype(np.int64)
     codes = bits @ (1 << np.arange(t, dtype=np.int64))
     counts = np.bincount(codes, minlength=1 << t)
     n = int(counts.sum())
@@ -636,6 +633,8 @@ def stationarity_check(ensemble: TrajectoryEnsemble) -> StationarityReport:
     than STATIONARITY_SIGMA standard errors (paired across trials)."""
     if ensemble.config.t_steps < 2:
         raise SimulationError("stationarity check needs t_steps >= 2")
+    if ensemble.config.trials < 2:
+        raise SimulationError("stationarity check needs trials >= 2")
     per_trial = ensemble.states.mean(axis=2)  # (trials, t_steps)
     densities = per_trial.mean(axis=0)
     trials = ensemble.config.trials
@@ -644,10 +643,7 @@ def stationarity_check(ensemble: TrajectoryEnsemble) -> StationarityReport:
     for step in range(1, ensemble.config.t_steps):
         diff = per_trial[:, step] - per_trial[:, 0]
         mean = diff.mean()
-        if trials > 1:
-            se = diff.std(ddof=1) / np.sqrt(trials)
-        else:
-            se = 0.0
+        se = diff.std(ddof=1) / np.sqrt(trials)
         z[step] = 0.0 if mean == 0.0 else (np.inf if se == 0.0 else mean / se)
     flagged = tuple(int(s) for s in np.nonzero(np.abs(z) > STATIONARITY_SIGMA)[0])
     return StationarityReport(densities=densities, deviations_sigma=z,

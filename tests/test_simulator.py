@@ -502,6 +502,14 @@ class TestStationarity:
         ens = simulate(small_config(FROZEN))
         assert stationarity_check(ens).passed
 
+    def test_one_trial_is_rejected(self):
+        # one trial gives no paired standard error: a stationary run would
+        # read every step whose density moved as drifting
+        ens = simulate(SimConfig(n=8, t_steps=10, trials=1, seed=77, domain=SQ,
+                                 params=FAST))
+        with pytest.raises(SimulationError, match="trials >= 2"):
+            stationarity_check(ens)
+
 
 class TestPinnedEnsemble:
     def test_distance_is_exact(self, paper_params, pinned_distance_ensemble,
@@ -619,15 +627,14 @@ def pieces_of(config, initial_state="stationary"):
 
 
 def streamed(config, initial_state):
-    """Snapshot bytes and the tallies, distance-weighted and not, of a run
-    streamed piece by piece, as the simulate command streams it."""
+    """Snapshot bytes and the tally of a run streamed piece by piece, as the
+    simulate command streams it."""
     fh = io.BytesIO()
-    tallies = [TrajectoryTally(config, weighted) for weighted in (True, False)]
+    tally = TrajectoryTally(config)
     for piece in pieces_of(config, initial_state):
         export_snapshots(piece, fh)
-        for tally in tallies:
-            tally.add(piece)
-    return fh.getvalue(), tallies
+        tally.add(piece)
+    return fh.getvalue(), tally
 
 
 def assembled(config, initial_state):
@@ -644,21 +651,21 @@ def assembled(config, initial_state):
             np.concatenate([np.concatenate(trial, axis=1) for trial in states]))
 
 
-def assert_same_estimates(tallies, ensemble):
-    """Every estimate of the tallies equal bit for bit to the ensemble's."""
-    for tally in tallies:
-        weighted = tally.distance_weighted
+def assert_same_estimates(tally, ensemble):
+    """Every estimate of the tally, under both weightings, equal bit for bit
+    to the ensemble's."""
+    for weighted in (True, False):
         fa = empirical_transition_frequencies(tally, distance_weighted=weighted)
         fb = empirical_transition_frequencies(ensemble, distance_weighted=weighted)
-        assert np.array_equal(fa.matrix, fb.matrix, equal_nan=True)
-        assert np.array_equal(fa.stderr, fb.stderr, equal_nan=True)
-        assert np.array_equal(fa.visits, fb.visits)
-        assert fa.undefined_rows == fb.undefined_rows
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for t in range(1, min(12, ensemble.config.t_steps) + 1):
-                assert (empirical_block_entropy(tally, t)
-                        == empirical_block_entropy(ensemble, t))
+        assert np.array_equal(fa.matrix, fb.matrix, equal_nan=True), weighted
+        assert np.array_equal(fa.stderr, fb.stderr, equal_nan=True), weighted
+        assert np.array_equal(fa.visits, fb.visits), weighted
+        assert fa.undefined_rows == fb.undefined_rows, weighted
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for t in range(1, min(12, ensemble.config.t_steps) + 1):
+            assert (empirical_block_entropy(tally, t)
+                    == empirical_block_entropy(ensemble, t))
 
 
 class TestBatches:
@@ -679,12 +686,11 @@ class TestBatches:
         monkeypatch.setattr(simulator, "_CHUNK_BLOCKS", 18 * batch_trials)
         sizes = [b.trials for b in cfg.pieces()]
         assert sizes[:-1] == [batch_trials] * (len(sizes) - 1) and sum(sizes) == 12
-        got, tallies = streamed(cfg, initial_state)
+        got, tally = streamed(cfg, initial_state)
         assert got == expected.getvalue()
-        for tally in tallies:
-            assert (tally.mean_edge_density
-                    == np.count_nonzero(whole.states) / whole.states.size)
-        assert_same_estimates(tallies, whole)
+        assert (tally.mean_edge_density
+                == np.count_nonzero(whole.states) / whole.states.size)
+        assert_same_estimates(tally, whole)
 
     @pytest.mark.parametrize("shape, batch_trials", [
         ((16, 100, 50), (1, 3, 7)),  # simulate's n = 50
@@ -694,16 +700,16 @@ class TestBatches:
         trials, t_steps, n = shape
         whole = simulate(SimConfig(n=n, t_steps=t_steps, trials=trials, seed=17,
                                    domain=SQ, params=FAST))
-        for weighted in (True, False):
-            ref = TrajectoryTally.of(whole, weighted)
-            for size in batch_trials:
-                tally = TrajectoryTally(whole.config, weighted)
-                for start in range(0, trials, size):
-                    tally.add(batch_of(whole, start, min(start + size, trials)))
-                assert np.array_equal(tally.sums, ref.sums), (weighted, size)
-                assert np.array_equal(tally.visits, ref.visits), (weighted, size)
-                assert np.array_equal(tally.heads, ref.heads), (weighted, size)
-                assert tally.on == ref.on == np.count_nonzero(whole.states)
+        ref = TrajectoryTally.of(whole)
+        for size in batch_trials:
+            tally = TrajectoryTally(whole.config)
+            for start in range(0, trials, size):
+                tally.add(batch_of(whole, start, min(start + size, trials)))
+            assert np.array_equal(tally.sums, ref.sums), size
+            assert np.array_equal(tally.counts, ref.counts), size
+            assert np.array_equal(tally.visits, ref.visits), size
+            assert np.array_equal(tally.heads, ref.heads), size
+            assert tally.on == ref.on == np.count_nonzero(whole.states)
 
     def test_first_trial_offsets_the_streams(self):
         cfg = SimConfig(n=5, t_steps=6, trials=10, seed=3, domain=SQ, params=FAST)
@@ -745,8 +751,6 @@ class TestBatches:
             with pytest.raises(SimulationError, match="not the next piece"):
                 tally.add(simulate(bad))
         tally.add(simulate(second))
-        with pytest.raises(SimulationError, match="distance_weighted=True"):
-            empirical_transition_frequencies(tally, distance_weighted=False)
         assert empirical_transition_frequencies(tally).visits.sum() == 4 * 3 * 3
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -762,6 +766,25 @@ PIECE_RUN = (4, 11, 12)
 def piece_steps(monkeypatch, steps):
     """Cut every run into pieces of ``steps`` steps of one trial."""
     monkeypatch.setattr(simulator, "_piece_steps", lambda n_edges: steps)
+
+
+def reference_tally(ensemble):
+    """(counts, sums, visits, heads, on) of a whole ensemble, taken from
+    masks of its states: the a -> b transition counts per trial, plain and
+    weighted by 1 / (1 - p) for a = 0 and 1 / p for a = 1."""
+    states = ensemble.states
+    p = channel.connection_probability(ensemble.distances, ensemble.config.params)
+    weights = (1.0 / (1.0 - p), 1.0 / p)
+    counts = np.empty((2, 2, ensemble.config.trials), dtype=np.int64)
+    sums = np.empty((2, 2, ensemble.config.trials))
+    for a in (0, 1):
+        for b in (0, 1):
+            per_edge = ((states[:, :-1] == a) & (states[:, 1:] == b)).sum(axis=1)
+            counts[a, b] = per_edge.sum(axis=1)
+            sums[a, b] = (per_edge * weights[a]).sum(axis=1)
+    visits = np.array([np.count_nonzero(states[:, :-1] == a) for a in (0, 1)])
+    heads = states[:, :min(12, ensemble.config.t_steps), 0]
+    return counts, sums, visits, heads, int(np.count_nonzero(states))
 
 
 class TestPieces:
@@ -790,13 +813,34 @@ class TestPieces:
         windows = [(p.first_trial, p.first_step, p.t_steps) for p in cfg.pieces()]
         assert windows == [(i, s, min(steps, t_steps - s))
                            for i in range(trials) for s in range(0, t_steps, steps)]
-        got, tallies = streamed(cfg, initial_state)
+        got, tally = streamed(cfg, initial_state)
         assert got == expected.getvalue()
-        for tally in tallies:
-            assert tally.on == np.count_nonzero(whole.states)
-            assert np.array_equal(tally.sums, TrajectoryTally.of(
-                whole, tally.distance_weighted).sums)
-        assert_same_estimates(tallies, whole)
+        ref = TrajectoryTally.of(whole)
+        assert tally.on == ref.on == np.count_nonzero(whole.states)
+        assert np.array_equal(tally.sums, ref.sums)
+        assert np.array_equal(tally.counts, ref.counts)
+        assert_same_estimates(tally, whole)
+
+    @pytest.mark.parametrize("initial_state", simulator.INITIAL_STATES)
+    @pytest.mark.parametrize("steps", [None, 1, 3, 4])
+    def test_tally_matches_the_states(self, monkeypatch, steps, initial_state):
+        n, t_steps, trials = PIECE_RUN
+        cfg = SimConfig(n=n, t_steps=t_steps, trials=trials, seed=2 ** 64 - 9,
+                        domain=geometry.DISK, params=FAST)
+        whole = simulate(cfg, initial_state)
+        if steps is None:
+            # pieces of 5, 5 and 2 whole trials of 6 edges of 3 blocks each
+            monkeypatch.setattr(simulator, "_CHUNK_BLOCKS", 18 * 5)
+            assert [p.trials for p in cfg.pieces()] == [5, 5, 2]
+        else:
+            piece_steps(monkeypatch, steps)
+        _, tally = streamed(cfg, initial_state)
+        counts, sums, visits, heads, on = reference_tally(whole)
+        assert np.array_equal(tally.counts, counts)
+        np.testing.assert_allclose(tally.sums, sums, rtol=1e-12, atol=0)
+        assert np.array_equal(tally.visits, visits)
+        assert np.array_equal(tally.heads, heads)
+        assert tally.on == on
 
     @pytest.mark.parametrize("steps", [1, 3, 4])
     @pytest.mark.parametrize("case", sorted(GOLDEN_SIMULATE))
