@@ -38,6 +38,7 @@ from .simulator import (
     empirical_block_entropy,
     empirical_transition_frequencies,
     simulate,
+    simulate_pieces,
     stationarity_check,
 )
 
@@ -69,5 +70,6 @@ __all__ = [
     "empirical_block_entropy",
     "empirical_transition_frequencies",
     "simulate",
+    "simulate_pieces",
     "stationarity_check",
 ]

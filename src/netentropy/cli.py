@@ -137,13 +137,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                      seed=args.seed, domain=domain_from_name(args.domain),
                                      params=_channel_params(args))
     tally = simulator.TrajectoryTally(sim_config)
-    # one piece of states at a time goes to the export and to the tally, so
-    # the memory held does not grow with the trial or the step count; each
-    # piece continues the one before where it continues its trial
+    # each piece goes to the export and to the tally before the next is made
+    # from it, so at most two pieces of states are held at a time, whatever
+    # the trial or the step count
     with _open_binary(args.out) as fh:
-        piece = None
-        for window in sim_config.pieces():
-            piece = simulator.simulate(window, previous=piece)
+        for piece in simulator.simulate_pieces(sim_config):
             simulator.export_snapshots(piece, fh)
             tally.add(piece)
         fh.flush()

@@ -21,10 +21,11 @@ run's trials, edges and steps gives bit-identical ensembles, as long as each
 step range continues the states of the step before.  The simulate command
 cuts a run into pieces (:meth:`SimConfig.pieces`), in export order: runs of
 whole trials, or runs of whole steps of one trial's edges, of at most one
-tile's blocks.  It generates each piece from the one before, and hands it to
-the snapshot export and to a :class:`TrajectoryTally`, which keeps exact
-integer transition counts per edge across a trial's pieces.  So it never
-holds more than a piece of states, whatever the trial and step counts.
+tile's blocks.  :func:`simulate_pieces` makes each piece from the one
+before, while that one is still held, and the command hands each to the
+snapshot export and to a :class:`TrajectoryTally`, which keeps exact integer
+transition counts per edge across a trial's pieces.  So it holds at most two
+pieces of states at a time, whatever the trial and step counts.
 """
 
 from __future__ import annotations
@@ -344,11 +345,10 @@ def simulate(config: SimConfig, initial_state: str = "stationary",
     ``all_off`` / ``all_on`` give deliberately non-stationary starts for
     diagnostics.
 
-    A run that starts after step 0 continues ``previous``: the ensemble of
-    the same trials whose steps end just before it, such as the piece
-    before it among :meth:`SimConfig.pieces`.  Its positions are reused and
-    its last states carried over.  A run from step 0 does not read
-    ``previous``, so a caller can pass each piece the one before it.
+    A run that starts after step 0 continues ``previous``, the ensemble of
+    the same trials whose steps end just before it: it reuses its positions
+    and carries over its last states.  A run from step 0 does not read
+    ``previous``, so :func:`simulate_pieces` passes each piece the one before.
     """
     if initial_state not in INITIAL_STATES:
         raise SimulationError(f"initial_state must be one of {INITIAL_STATES}")
@@ -384,6 +384,15 @@ def simulate(config: SimConfig, initial_state: str = "stationary",
                               states=states)
 
 
+def simulate_pieces(config: SimConfig, initial_state: str = "stationary"):
+    """The ensembles of the pieces of ``config`` (:meth:`SimConfig.pieces`),
+    in export order, each made by :func:`simulate` from the one before it."""
+    piece = None
+    for window in config.pieces():
+        piece = simulate(window, initial_state, previous=piece)
+        yield piece
+
+
 def _inverse_occupancies(distances: np.ndarray, params: ChannelParams):
     """1 / (1 - p) and 1 / p of the edges' connection probabilities p.
 
@@ -400,15 +409,15 @@ class TrajectoryTally:
     """The sums of a run's edge states that the estimators read, added one
     piece at a time, in export order (:meth:`SimConfig.pieces`).
 
-    A run streamed piece by piece so never holds more than one piece of
-    states.  Over the run a tally keeps the count of on edge-steps, ``on``.
-    Per trial it keeps edge 0's first min(12, t_steps) states, ``heads``,
-    enough for every block length of :func:`empirical_block_entropy`, and
-    per a -> b transition the count of its indicators, ``counts[a, b]``,
-    and their sum weighted by the inverse stationary occupancy of state a
-    at the edge's distance, ``sums[a, b]``, as
-    :func:`empirical_transition_frequencies` weights it.  So one tally
-    serves both of its weightings.
+    A run streamed piece by piece (:func:`simulate_pieces`) so holds at most
+    two pieces of states: a piece is made while the one before it is held.
+    Over the run a tally keeps the count of on edge-steps, ``on``.  Per trial
+    it keeps edge 0's first min(12, t_steps) states, ``heads``, enough for
+    every block length of :func:`empirical_block_entropy`, and per a -> b
+    transition the count of its indicators, ``counts[a, b]``, and their sum
+    weighted by the inverse stationary occupancy of state a at the edge's
+    distance, ``sums[a, b]``, as :func:`empirical_transition_frequencies`
+    weights it.  So one tally serves both of its weightings.
 
     Over a trial's pieces it keeps exact integer counts per edge, of the
     steps on and of the steps on after an on step, with the edges' first
@@ -426,13 +435,6 @@ class TrajectoryTally:
         self.sums = np.empty((2, 2, config.trials))
         self.counts = np.empty((2, 2, config.trials), dtype=np.int64)
         self._done = self._step = 0  # the next piece's trial row and step
-
-    @classmethod
-    def of(cls, ensemble: TrajectoryEnsemble) -> "TrajectoryTally":
-        """The tally of one whole ensemble."""
-        tally = cls(ensemble.config)
-        tally.add(ensemble)
-        return tally
 
     @property
     def visits(self) -> np.ndarray:
@@ -515,42 +517,34 @@ class TransitionFrequencies:
     undefined_rows: Tuple[int, ...]
 
 
-def _tally(source) -> TrajectoryTally:
-    """The complete tally ``source``, or the tally of the ensemble ``source``."""
-    if isinstance(source, TrajectoryTally):
-        source._check_complete()
-        return source
-    return TrajectoryTally.of(source)
-
-
-def empirical_transition_frequencies(source, distance_weighted: bool = True,
+def empirical_transition_frequencies(tally: TrajectoryTally, distance_weighted: bool = True,
                                      ) -> TransitionFrequencies:
     """Pooled a->b transition frequencies over all edges, steps and trials
-    of a :class:`TrajectoryEnsemble`, or of a run's complete
-    :class:`TrajectoryTally`."""
-    if source.config.t_steps < 2:
+    of a run, read from its complete :class:`TrajectoryTally`; a tally that
+    still lacks trials of the run raises :class:`SimulationError`."""
+    if tally.config.t_steps < 2:
         raise SimulationError("transition frequencies need t_steps >= 2")
-    source = _tally(source)
-    trials = source.config.trials
-    n_opp = (source.config.t_steps - 1) * source.config.n_edges
+    tally._check_complete()
+    trials = tally.config.trials
+    n_opp = (tally.config.t_steps - 1) * tally.config.n_edges
 
     matrix = np.full((2, 2), np.nan)
     stderr = np.full((2, 2), np.nan)
     undefined = []
     for a in (0, 1):
-        if source.visits[a] == 0:
+        if tally.visits[a] == 0:
             undefined.append(a)
             continue
         if not distance_weighted:
-            m = np.add(source.counts[a, 0], source.counts[a, 1], dtype=float)
+            m = np.add(tally.counts[a, 0], tally.counts[a, 1], dtype=float)
         for b in (1, 0):
             if distance_weighted:
                 # per-trial mean of weighted indicators; opportunities fixed
-                s = source.sums[a, b] / n_opp
+                s = tally.sums[a, b] / n_opp
                 matrix[a, b] = float(np.mean(s))
                 stderr[a, b] = float(np.std(s, ddof=1) / np.sqrt(trials)) if trials > 1 else np.nan
             else:
-                s = source.counts[a, b].astype(float)
+                s = tally.counts[a, b].astype(float)
                 ratio = s.sum() / m.sum()
                 matrix[a, b] = float(ratio)
                 if trials > 1:
@@ -562,7 +556,7 @@ def empirical_transition_frequencies(source, distance_weighted: bool = True,
                 else:
                     stderr[a, b] = np.nan
     return TransitionFrequencies(matrix=matrix, stderr=stderr,
-                                 visits=source.visits,
+                                 visits=tally.visits,
                                  distance_weighted=distance_weighted,
                                  undefined_rows=tuple(undefined))
 
@@ -580,10 +574,10 @@ class BlockEntropyEstimate:
     n_observed_sequences: int
 
 
-def empirical_block_entropy(source, t: int) -> BlockEntropyEstimate:
-    """Plug-in entropy of length-t trajectories of edge 0, one per trial, of
-    a :class:`TrajectoryEnsemble` or of a run's complete
-    :class:`TrajectoryTally`.
+def empirical_block_entropy(tally: TrajectoryTally, t: int) -> BlockEntropyEstimate:
+    """Plug-in entropy of length-t trajectories of edge 0, one per trial of
+    a run, read from its complete :class:`TrajectoryTally`; a tally that
+    still lacks trials of the run raises :class:`SimulationError`.
 
     Pooling a single designated edge per independent trial keeps the samples
     i.i.d. draws from the distance mixture.  Warns when not all 2**t
@@ -592,10 +586,11 @@ def empirical_block_entropy(source, t: int) -> BlockEntropyEstimate:
     """
     if not 1 <= t <= 12:
         raise SimulationError(f"block length must be in [1, 12], got {t}")
-    if t > source.config.t_steps:
+    if t > tally.config.t_steps:
         raise SimulationError(
-            f"block length {t} exceeds t_steps {source.config.t_steps}")
-    bits = _tally(source).heads[:, :t].astype(np.int64)
+            f"block length {t} exceeds t_steps {tally.config.t_steps}")
+    tally._check_complete()
+    bits = tally.heads[:, :t].astype(np.int64)
     codes = bits @ (1 << np.arange(t, dtype=np.int64))
     counts = np.bincount(codes, minlength=1 << t)
     n = int(counts.sum())
@@ -630,7 +625,10 @@ class StationarityReport:
 
 def stationarity_check(ensemble: TrajectoryEnsemble) -> StationarityReport:
     """Flag any step whose pooled edge density drifts from step 0 by more
-    than STATIONARITY_SIGMA standard errors (paired across trials)."""
+    than STATIONARITY_SIGMA standard errors (paired across trials).  It
+    reads a whole ensemble: the per-step sums it needs, 16 B a step in a
+    :class:`TrajectoryTally`, would make a streamed run's memory grow with
+    its step count.  ``validate`` calls it on 800- and 3,000-trial runs."""
     if ensemble.config.t_steps < 2:
         raise SimulationError("stationarity check needs t_steps >= 2")
     if ensemble.config.trials < 2:

@@ -210,7 +210,11 @@ def test_criterion_5_oracle_equivalence():
     dom = geometry.SQUARE
     cfg = simulator.SimConfig(n=2, t_steps=4, trials=1_000_000, seed=20250808,
                               domain=dom, params=params)
-    ens = simulator.simulate(cfg)
+    # the run streamed piece by piece into one tally, as the simulate
+    # command streams it; every estimate below reads that tally
+    tally = simulator.TrajectoryTally(cfg)
+    for piece in simulator.simulate_pieces(cfg):
+        tally.add(piece)
 
     oracle_H, _ = entropy.block_entropy_profile(dom, params, 4)
     entropy_ok = True
@@ -218,13 +222,13 @@ def test_criterion_5_oracle_equivalence():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for t in (1, 2, 3, 4):
-            est = simulator.empirical_block_entropy(ens, t)
+            est = simulator.empirical_block_entropy(tally, t)
             margin = 3.0 * est.stderr + est.bias_correction
             dev = abs(est.miller_madow - float(oracle_H[t - 1]))
             entropy_ok &= dev <= margin
             worst_z = max(worst_z, dev / est.stderr)
 
-    freq = simulator.empirical_transition_frequencies(ens)
+    freq = simulator.empirical_transition_frequencies(tally)
     trans_ok = True
     m = entropy.edge_moments(dom, params)
     averaged = ((m.p00, m.p01), (m.p10, m.p11))

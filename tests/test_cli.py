@@ -427,12 +427,12 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == []
 
     def test_memory_does_not_grow_with_trials(self, tmp_path):
-        # the run is streamed one piece of states at a time (traced numpy and
-        # Python allocations).  A piece is one trial here (10,875 Philox
-        # blocks of the 16,384 a piece may hold), so the peak grows only by
-        # the per-trial tallies.  Holding every trial's states, and two more
-        # arrays of that size for the summary, grew the peak from 3.11 MB at
-        # 4 trials to 9.48 MB at 64
+        # the run is streamed piece by piece, at most two pieces of states
+        # held at a time (traced numpy and Python allocations).  A piece is
+        # one trial here (10,875 Philox blocks of the 16,384 a piece may
+        # hold), so the peak grows only by the per-trial tallies.  Holding
+        # every trial's states, and two more arrays of that size for the
+        # summary, grew the peak from 3.11 MB at 4 trials to 9.48 MB at 64
         def peak(trials):
             tracemalloc.start()
             try:

@@ -24,6 +24,7 @@ from netentropy.simulator import (
     empirical_transition_frequencies,
     export_snapshots,
     simulate,
+    simulate_pieces,
     stationarity_check,
 )
 
@@ -101,6 +102,13 @@ def small_config(paper_params, **overrides):
                   params=paper_params)
     kwargs.update(overrides)
     return SimConfig(**kwargs)
+
+
+def tally_of(ensemble):
+    """The complete tally of one whole ensemble, the estimators' input."""
+    tally = TrajectoryTally(ensemble.config)
+    tally.add(ensemble)
+    return tally
 
 
 class TestConfig:
@@ -387,14 +395,14 @@ class TestSimulate:
 class TestTransitionFrequencies:
     def test_frozen_chain_identity(self):
         ens = simulate(small_config(FROZEN, trials=40))
-        freq = empirical_transition_frequencies(ens, distance_weighted=False)
+        freq = empirical_transition_frequencies(tally_of(ens), distance_weighted=False)
         assert np.allclose(freq.matrix, np.eye(2))
         assert freq.undefined_rows == ()
 
     def test_pinned_edge_matches_channel(self, paper_params, pinned_distance_ensemble):
         ens = pinned_distance_ensemble(SQ, 0.7, paper_params,
                                        t_steps=400, trials=3000, seed=31)
-        freq = empirical_transition_frequencies(ens)
+        freq = empirical_transition_frequencies(tally_of(ens))
         p01, p10 = channel.transition_probabilities(0.7, paper_params)
         for a, b, expect in ((1, 0, p10), (0, 1, p01)):
             assert abs(freq.matrix[a, b] - expect) < 3.0 * freq.stderr[a, b]
@@ -403,7 +411,7 @@ class TestTransitionFrequencies:
         cfg = SimConfig(n=10, t_steps=40, trials=4000, seed=5151, domain=SQ,
                         params=paper_params)
         ens = simulate(cfg)
-        freq = empirical_transition_frequencies(ens)
+        freq = empirical_transition_frequencies(tally_of(ens))
         m = entropy.edge_moments(SQ, paper_params)
         for a, b, target in ((1, 0, m.p10), (0, 1, m.p01)):
             assert abs(freq.matrix[a, b] - target) < 3.0 * freq.stderr[a, b], (a, b)
@@ -412,7 +420,7 @@ class TestTransitionFrequencies:
         cfg = SimConfig(n=10, t_steps=40, trials=4000, seed=5151, domain=SQ,
                         params=paper_params)
         ens = simulate(cfg)
-        freq = empirical_transition_frequencies(ens, distance_weighted=False)
+        freq = empirical_transition_frequencies(tally_of(ens), distance_weighted=False)
         bounds = entropy.entropy_rate_bounds(2, SQ, paper_params)
         # joint-consistent conditional differs from the distance average;
         # compute it from the moments the bounds are built on
@@ -428,7 +436,7 @@ class TestTransitionFrequencies:
         params = ChannelParams(r0=1e5, eta=2.0, nu=1.0, B=12e6)
         ens = simulate(SimConfig(n=4, t_steps=10, trials=5, seed=8, domain=SQ,
                                  params=params))
-        freq = empirical_transition_frequencies(ens)
+        freq = empirical_transition_frequencies(tally_of(ens))
         assert freq.undefined_rows == (0,)
         assert np.all(np.isnan(freq.matrix[0]))
         assert freq.matrix[1, 1] > 0.99
@@ -436,7 +444,7 @@ class TestTransitionFrequencies:
     def test_needs_two_steps(self, paper_params):
         ens = simulate(small_config(paper_params, t_steps=1))
         with pytest.raises(SimulationError):
-            empirical_transition_frequencies(ens)
+            empirical_transition_frequencies(tally_of(ens))
 
     def test_weighted_estimator_survives_occupancy_underflow(self):
         # r0 small enough that p(r) underflows to exactly 0 at far corners
@@ -444,14 +452,14 @@ class TestTransitionFrequencies:
         ens = simulate(SimConfig(n=8, t_steps=10, trials=50, seed=4, domain=SQ,
                                  params=params))
         assert np.any(channel.connection_probability(ens.distances, params) == 0.0)
-        freq = empirical_transition_frequencies(ens)
+        freq = empirical_transition_frequencies(tally_of(ens))
         assert np.all(np.isfinite(freq.matrix[list(freq.visits > 0)]))
 
 
 class TestBlockEntropy:
     def test_t1_equals_marginal_plug_in(self, paper_params):
         ens = simulate(small_config(paper_params, trials=200))
-        est = empirical_block_entropy(ens, 1)
+        est = empirical_block_entropy(tally_of(ens), 1)
         frac = ens.states[:, 0, 0].mean()
         expected = -frac * np.log2(frac) - (1 - frac) * np.log2(1 - frac)
         assert est.plug_in == pytest.approx(expected, rel=1e-12)
@@ -459,16 +467,17 @@ class TestBlockEntropy:
 
     def test_frozen_chain_flat_profile(self):
         ens = simulate(small_config(FROZEN, trials=300, t_steps=8))
-        h1 = empirical_block_entropy(ens, 1).plug_in
+        tally = tally_of(ens)
+        h1 = empirical_block_entropy(tally, 1).plug_in
         for t in (2, 4, 8):
             # frozen chains only ever realize 2 of the 2**t sequences
             with pytest.warns(UserWarning, match="sequences observed"):
-                assert empirical_block_entropy(ens, t).plug_in == pytest.approx(h1, rel=1e-12)
+                assert empirical_block_entropy(tally, t).plug_in == pytest.approx(h1, rel=1e-12)
 
     def test_warns_when_bins_unpopulated(self, paper_params):
         ens = simulate(small_config(paper_params, trials=50, t_steps=8))
         with pytest.warns(UserWarning, match="sequences observed"):
-            est = empirical_block_entropy(ens, 8)
+            est = empirical_block_entropy(tally_of(ens), 8)
         assert est.n_observed_sequences < 2 ** 8
         assert est.miller_madow >= est.plug_in
 
@@ -478,15 +487,15 @@ class TestBlockEntropy:
         ens = simulate(cfg)
         H, _ = entropy.block_entropy_profile(SQ, paper_params, 4)
         with pytest.warns(UserWarning):
-            est = empirical_block_entropy(ens, 4)
+            est = empirical_block_entropy(tally_of(ens), 4)
         assert abs(est.miller_madow - H[-1]) < 3.0 * est.stderr + est.bias_correction
 
     def test_range_checks(self, paper_params):
-        ens = simulate(small_config(paper_params, t_steps=4))
+        tally = tally_of(simulate(small_config(paper_params, t_steps=4)))
         with pytest.raises(SimulationError):
-            empirical_block_entropy(ens, 5)
+            empirical_block_entropy(tally, 5)
         with pytest.raises(SimulationError):
-            empirical_block_entropy(ens, 0)
+            empirical_block_entropy(tally, 0)
 
 
 class TestStationarity:
@@ -617,21 +626,12 @@ def batch_of(ensemble, start, stop):
         states=ensemble.states[start:stop])
 
 
-def pieces_of(config, initial_state="stationary"):
-    """The pieces of a run, each made from the one before, as the simulate
-    command makes them."""
-    piece = None
-    for window in config.pieces():
-        piece = simulate(window, initial_state, previous=piece)
-        yield piece
-
-
 def streamed(config, initial_state):
     """Snapshot bytes and the tally of a run streamed piece by piece, as the
     simulate command streams it."""
     fh = io.BytesIO()
     tally = TrajectoryTally(config)
-    for piece in pieces_of(config, initial_state):
+    for piece in simulate_pieces(config, initial_state):
         export_snapshots(piece, fh)
         tally.add(piece)
     return fh.getvalue(), tally
@@ -641,7 +641,7 @@ def assembled(config, initial_state):
     """(positions, distances, states) of a run, put together from its
     pieces."""
     positions, distances, states = [], [], []
-    for piece in pieces_of(config, initial_state):
+    for piece in simulate_pieces(config, initial_state):
         if not piece.config.first_step:
             positions.append(piece.positions)
             distances.append(piece.distances)
@@ -652,11 +652,12 @@ def assembled(config, initial_state):
 
 
 def assert_same_estimates(tally, ensemble):
-    """Every estimate of the tally, under both weightings, equal bit for bit
-    to the ensemble's."""
+    """Every estimate of the streamed tally, under both weightings, equal bit
+    for bit to that of the tally of the whole ensemble."""
+    whole = tally_of(ensemble)
     for weighted in (True, False):
         fa = empirical_transition_frequencies(tally, distance_weighted=weighted)
-        fb = empirical_transition_frequencies(ensemble, distance_weighted=weighted)
+        fb = empirical_transition_frequencies(whole, distance_weighted=weighted)
         assert np.array_equal(fa.matrix, fb.matrix, equal_nan=True), weighted
         assert np.array_equal(fa.stderr, fb.stderr, equal_nan=True), weighted
         assert np.array_equal(fa.visits, fb.visits), weighted
@@ -665,7 +666,7 @@ def assert_same_estimates(tally, ensemble):
         warnings.simplefilter("ignore")
         for t in range(1, min(12, ensemble.config.t_steps) + 1):
             assert (empirical_block_entropy(tally, t)
-                    == empirical_block_entropy(ensemble, t))
+                    == empirical_block_entropy(whole, t))
 
 
 class TestBatches:
@@ -700,7 +701,7 @@ class TestBatches:
         trials, t_steps, n = shape
         whole = simulate(SimConfig(n=n, t_steps=t_steps, trials=trials, seed=17,
                                    domain=SQ, params=FAST))
-        ref = TrajectoryTally.of(whole)
+        ref = tally_of(whole)
         for size in batch_trials:
             tally = TrajectoryTally(whole.config)
             for start in range(0, trials, size):
@@ -813,9 +814,12 @@ class TestPieces:
         windows = [(p.first_trial, p.first_step, p.t_steps) for p in cfg.pieces()]
         assert windows == [(i, s, min(steps, t_steps - s))
                            for i in range(trials) for s in range(0, t_steps, steps)]
+        pieces = list(simulate_pieces(cfg, initial_state))
+        assert [p.config for p in pieces] == list(cfg.pieces())
+        assert all(p.initial_state == initial_state for p in pieces)
         got, tally = streamed(cfg, initial_state)
         assert got == expected.getvalue()
-        ref = TrajectoryTally.of(whole)
+        ref = tally_of(whole)
         assert tally.on == ref.on == np.count_nonzero(whole.states)
         assert np.array_equal(tally.sums, ref.sums)
         assert np.array_equal(tally.counts, ref.counts)
@@ -890,7 +894,7 @@ class TestPieces:
     def test_tally_rejects_pieces_out_of_order(self, monkeypatch):
         cfg = SimConfig(n=3, t_steps=5, trials=3, seed=2, domain=SQ, params=FAST)
         piece_steps(monkeypatch, 2)
-        pieces = list(pieces_of(cfg))
+        pieces = list(simulate_pieces(cfg))
         # trial 0 steps 0-1, 2-3, 4; trial 1 steps 0-1, ...
         assert [(p.config.first_trial, p.config.first_step) for p in pieces[:4]] == [
             (0, 0), (0, 2), (0, 4), (1, 0)]
@@ -923,7 +927,7 @@ class TestPieces:
         cfg = SimConfig(n=3, t_steps=7, trials=2, seed=6, domain=SQ, params=FAST)
         piece_steps(monkeypatch, 3)
         header = b"trial,step,edge_i,edge_j,state\n"
-        for piece in pieces_of(cfg):
+        for piece in simulate_pieces(cfg):
             fh = io.BytesIO()
             export_snapshots(piece, fh)
             lines = fh.getvalue().splitlines(True)
